@@ -17,8 +17,8 @@ from .inverse import (MAX_BLOCK_MAGNITUDE, BlockInverse, InverseFactors,
                       condition_estimate, ikebe_factors,
                       invert_block_tridiagonal, residual)
 from .kernels import (ConvergenceError, LUFactors, NormKind, SingularError,
-                      eigenvalues_small, identity_norm, invert, lu_factor,
-                      lu_solve, matmul, norm)
+                      batch_norm, eigenvalues_small, identity_norm, invert,
+                      lu_factor, lu_solve, norm, solve_blocks)
 from .matrixio import (MatrixFileError, dump_json_text, read_matrix_file,
                        write_json_file, write_matrix_file)
 from .structures import (BlockTridiagonalMatrix, GeneralBlockMatrix,

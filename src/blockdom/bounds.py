@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inverse import BlockInverse
-from .kernels import NormKind, identity_norm, lu_factor, lu_solve, norm
+from .kernels import NormKind, batch_norm, identity_norm, solve_blocks
 from .structures import BlockTridiagonalMatrix
 
 
@@ -83,6 +83,13 @@ def _ratio(num: float, den: float, row: int, step: int, which: str) -> float:
     return num / den
 
 
+def _diag_solves(a: BlockTridiagonalMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(n, m, m) stacks A_i^{-1} C_{i-1} and A_i^{-1} B_i, zero for the
+    absent C_0 and B_n, from one stacked solve over the diagonal."""
+    x = solve_blocks(a.diag[:, None], a.row_offdiag())
+    return x[:, 0], x[:, 1]
+
+
 def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
                       t_max: int | None = None) -> TauOmegaTable:
     """Base coefficients (t=1) and their refinements up to t_max.
@@ -99,14 +106,9 @@ def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
 
     # nab[i-1] = ||A_i^{-1} B_i||  (zero for i = n),
     # nac[i-1] = ||A_i^{-1} C_{i-1}||  (zero for i = 1).
-    nab = np.zeros(n)
-    nac = np.zeros(n)
-    for i in range(n):
-        factors = lu_factor(a.diag[i], context=f"A_{i + 1} inversion")
-        if i < n - 1:
-            nab[i] = norm(lu_solve(factors, a.sup[i]), kind)
-        if i > 0:
-            nac[i] = norm(lu_solve(factors, a.sub[i - 1]), kind)
+    ac, ab = _diag_solves(a)
+    nab = batch_norm(ab, kind)
+    nac = batch_norm(ac, kind)
 
     tau = np.zeros((n, t_max))
     omega = np.zeros((n, t_max))
@@ -170,26 +172,24 @@ def compute_chains(a: BlockTridiagonalMatrix) -> ChainFactors:
         empty = np.zeros((0, m, m), dtype=np.complex128)
         return ChainFactors(empty, empty, empty, empty)
 
-    diag_factors = [lu_factor(a.diag[i], context=f"A_{i + 1} inversion")
-                    for i in range(n)]
-    ab = [lu_solve(diag_factors[i], a.sup[i]) for i in range(n - 1)]
-    ac = [lu_solve(diag_factors[i], a.sub[i - 1]) for i in range(1, n)]
+    # ac[i-1] = A_i^{-1} C_{i-1} and ab[i-1] = A_i^{-1} B_i.
+    ac, ab = _diag_solves(a)
 
     l = [None] * (n - 1)
     t = [None] * (n - 1)
     l[0] = ab[0]
     t[0] = ab[0]
     for i in range(2, n):
-        t[i - 1] = eye - ac[i - 2] @ l[i - 2]
-        l[i - 1] = lu_solve(lu_factor(t[i - 1], context=f"T_{i} inversion"), ab[i - 1])
+        t[i - 1] = eye - ac[i - 1] @ l[i - 2]
+        l[i - 1] = solve_blocks(t[i - 1], ab[i - 1], "T", i)
 
     mm = [None] * (n - 1)
     w = [None] * (n - 1)
-    mm[n - 2] = ac[n - 2]
-    w[n - 2] = ac[n - 2]
+    mm[n - 2] = ac[n - 1]
+    w[n - 2] = ac[n - 1]
     for i in range(n - 1, 1, -1):
         w[i - 2] = eye - ab[i - 1] @ mm[i - 1]
-        mm[i - 2] = lu_solve(lu_factor(w[i - 2], context=f"W_{i} inversion"), ac[i - 2])
+        mm[i - 2] = solve_blocks(w[i - 2], ac[i - 1], "W", i)
 
     return ChainFactors(l_blocks=np.asarray(l), t_blocks=np.asarray(t),
                         m_blocks=np.asarray(mm), w_blocks=np.asarray(w))
@@ -271,13 +271,10 @@ def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse | None,
     kind = table.norm_kind
     eye_n = identity_norm(m, kind)
 
-    na = np.array([norm(a.diag[i], kind) for i in range(n)])
-    nb = np.array([norm(a.sup[i], kind) for i in range(n - 1)])
-    nc = np.array([norm(a.sub[i], kind) for i in range(n - 1)])
-    inv_na = np.array([
-        norm(lu_solve(lu_factor(a.diag[i], context=f"A_{i + 1} inversion"),
-                      np.eye(m, dtype=np.complex128)), kind)
-        for i in range(n)])
+    na = batch_norm(a.diag, kind)
+    nb = batch_norm(a.sup, kind)
+    nc = batch_norm(a.sub, kind)
+    inv_na = batch_norm(solve_blocks(a.diag), kind)
 
     # Diagonal sandwich: tau_{i-1,t} ||C_{i-1}|| and omega_{i+1,t} ||B_i||
     # vanish at the corners.

@@ -12,7 +12,8 @@ both sets; their margins are +infinity.
 
 Grid evaluation batches the shifted blocks per row and runs stacked
 SVDs/solves over whole node chunks, optionally across threads
-(BLOCKDOM_THREADS); chunk order is fixed, so output is deterministic.
+(BLOCKDOM_THREADS, at most one per CPU); chunk order is fixed, so output
+is deterministic.
 """
 from __future__ import annotations
 
@@ -22,12 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import NormKind, eigenvalues_small, norm
+from .kernels import NormKind, batch_norm, eigenvalues_small, norm, singular_mask
 from .structures import BlockTridiagonalMatrix, GeneralBlockMatrix
-
-# A shifted diagonal block counts as singular when sigma_min falls at or
-# below this multiple of sigma_max.
-SINGULAR_SHIFT_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -135,16 +132,6 @@ def _as_general(a) -> GeneralBlockMatrix:
     raise TypeError(f"unsupported matrix type {type(a).__name__}")
 
 
-def _batch_norm(stack: np.ndarray, kind: NormKind) -> np.ndarray:
-    if kind is NormKind.ONE:
-        return np.abs(stack).sum(axis=-2).max(axis=-1)
-    if kind is NormKind.INF:
-        return np.abs(stack).sum(axis=-1).max(axis=-1)
-    if kind is NormKind.FRO:
-        return np.sqrt((np.abs(stack) ** 2).sum(axis=(-2, -1)))
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
 def _row_margins(diag: np.ndarray, offs: list[np.ndarray], radius: float,
                  zs: np.ndarray, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
     """Margins of one block row at a batch of points."""
@@ -160,7 +147,7 @@ def _row_margins(diag: np.ndarray, offs: list[np.ndarray], radius: float,
     idx = np.arange(m)
     shifted[:, idx, idx] -= zs[:, None]
     svals = np.linalg.svd(shifted, compute_uv=False)
-    singular = svals[:, -1] <= SINGULAR_SHIFT_RTOL * svals[:, 0]
+    singular = singular_mask(svals)
 
     margins_new = np.full(npts, np.inf)
     margins_fv = np.full(npts, np.inf)
@@ -171,20 +158,20 @@ def _row_margins(diag: np.ndarray, offs: list[np.ndarray], radius: float,
             inv_norms = 1.0 / svals[ok, -1]
         else:
             try:
-                inv_norms = _batch_norm(np.linalg.inv(sub), kind)
+                inv_norms = batch_norm(np.linalg.inv(sub), kind)
             except np.linalg.LinAlgError:
                 # A pivot underflowed despite the SVD mask: fall back to
                 # one matrix at a time, marking failures singular.
                 inv_norms = np.empty(sub.shape[0])
                 for k in range(sub.shape[0]):
                     try:
-                        inv_norms[k] = _batch_norm(np.linalg.inv(sub[k])[None], kind)[0]
+                        inv_norms[k] = batch_norm(np.linalg.inv(sub[k])[None], kind)[0]
                     except np.linalg.LinAlgError:
                         inv_norms[k] = np.inf
         margins_fv[ok] = inv_norms * radius
         total = np.zeros(sub.shape[0])
         for b in offs:
-            total += _batch_norm(np.linalg.solve(sub, b), kind)
+            total += batch_norm(np.linalg.solve(sub, b), kind)
         margins_new[ok] = total
     return margins_new, margins_fv
 
@@ -231,13 +218,32 @@ def auto_box(a, kind: NormKind, pad: float = 0.1) -> tuple[float, float, float, 
     return re_lo - pad_re, re_hi + pad_re, im_lo - pad_im, im_hi + pad_im
 
 
+def worker_count(nodes: int, workers: int | None = None) -> int:
+    """Threads for a grid of ``nodes`` points: ``workers``, or the
+    BLOCKDOM_THREADS environment variable (default 1) when it is None,
+    capped at the CPU count and at ``nodes``.
+
+    Raises ValueError, naming its source, for a count that is not an
+    integer of at least 1.
+    """
+    source = f"workers={workers!r}"
+    if workers is None:
+        raw = os.environ.get("BLOCKDOM_THREADS", "1")
+        source = f"BLOCKDOM_THREADS={raw!r}"
+        workers = int(raw) if raw.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"{source}: the thread count must be an integer >= 1")
+    return min(workers, os.cpu_count() or 1, nodes)
+
+
 def eval_grid(a, box: tuple[float, float, float, float] | None,
               nx: int, ny: int, kind: NormKind,
               workers: int | None = None) -> RegionGrid:
     """Evaluate both margins for every block row on an nx-by-ny grid.
 
     ``box`` is (re_min, re_max, im_min, im_max); None selects auto_box.
-    ``workers`` defaults to the BLOCKDOM_THREADS environment variable.
+    ``workers`` defaults to the BLOCKDOM_THREADS environment variable;
+    see worker_count for its validation and cap.
     """
     g = _as_general(a)
     if box is None:
@@ -247,8 +253,7 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
         raise ValueError(f"degenerate box {box}")
     if nx < 2 or ny < 2:
         raise ValueError("need nx >= 2 and ny >= 2")
-    if workers is None:
-        workers = max(1, int(os.environ.get("BLOCKDOM_THREADS", "1")))
+    workers = worker_count(nx * ny, workers)
 
     res = np.linspace(re_min, re_max, nx)
     ims = np.linspace(im_min, im_max, ny)
@@ -266,7 +271,7 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for i, (diag, offs, radius) in enumerate(rows):
                 futures = [pool.submit(_row_margins, diag, offs, radius, zs[c], kind)
-                           for c in chunks if c.size]
+                           for c in chunks]
                 mn = np.concatenate([f.result()[0] for f in futures])
                 mf = np.concatenate([f.result()[1] for f in futures])
                 margins_new[i], margins_fv[i] = mn, mf

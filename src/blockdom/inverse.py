@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import NormKind, invert, norm
+from .kernels import NormKind, batch_norm, invert, norm
 from .structures import BlockTridiagonalMatrix, GeneralBlockMatrix
 
 MAX_BLOCK_MAGNITUDE = 1e150
@@ -78,9 +78,7 @@ class BlockInverse:
             cache = {}
             object.__setattr__(self, "_norm_cache", cache)
         if kind not in cache:
-            n = self.n
-            grid = np.array([[norm(self.blocks[i, j], kind) for j in range(n)]
-                             for i in range(n)])
+            grid = batch_norm(self.blocks, kind)
             grid.setflags(write=False)
             cache[kind] = grid
         return cache[kind]

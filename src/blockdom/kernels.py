@@ -1,9 +1,15 @@
 """Dense complex linear algebra primitives used by every other module.
 
-Everything here operates on small square complex128 blocks. The LU
-factorization, triangular solves and the spectral-norm iteration are
-written out explicitly so their failure modes (singular pivot, stalled
-iteration) surface as typed exceptions instead of library-specific ones.
+Everything here operates on small square complex128 blocks, one at a
+time or stacked as (..., m, m) arrays. Norms and stacked solves are
+single numpy LAPACK calls over the whole stack: ``batch_norm`` is the one
+batched norm, and ``solve_blocks`` the one stacked solve, behind one
+scale-invariant singularity test on the singular values. A singular
+block surfaces as a typed SingularError naming the block.
+
+The pivoted LU (``lu_factor``, ``lu_solve``, ``invert``) is written out
+explicitly and kept for the four-sequence inverse, whose recurrences
+amplify roundoff: its arithmetic is part of that inverse's error budget.
 """
 from __future__ import annotations
 
@@ -14,13 +20,9 @@ import numpy as np
 
 DEFAULT_PIVOT_TOL = 1e-13
 
-# Power iteration on the Gram matrix: relative eigenvalue tolerance and cap.
-_POWER_RELTOL = 1e-13
-_POWER_MAXITER = 10000
-
-# One-sided Jacobi: column-orthogonality threshold and sweep cap.
-_JACOBI_TOL = 1e-15
-_JACOBI_MAX_SWEEPS = 60
+# A block counts as singular when sigma_min falls at or below this
+# multiple of sigma_max.
+SINGULAR_SHIFT_RTOL = 1e-13
 
 
 class NormKind(Enum):
@@ -144,97 +146,27 @@ def invert(block, pivot_tolerance: float = DEFAULT_PIVOT_TOL,
     return lu_solve(factors, np.eye(a.shape[0], dtype=np.complex128))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Multiply two blocks, checking the inner dimensions explicitly."""
-    x = np.asarray(a, dtype=np.complex128)
-    y = np.asarray(b, dtype=np.complex128)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError("matmul expects 2-d operands")
-    if x.shape[1] != y.shape[0]:
-        raise ValueError(f"inner dimensions differ: {x.shape} @ {y.shape}")
-    return x @ y
+def batch_norm(stack, kind: NormKind) -> np.ndarray:
+    """Norms of every block of an (..., m, m) stack, over the last two axes.
 
-
-def _two_norm_power(a: np.ndarray) -> tuple[float, bool]:
-    """Largest singular value of ``a`` by power iteration on the Gram matrix.
-
-    Returns (sigma, converged). The iterate lambda = ||G v|| is never above
-    the true top eigenvalue of G = a^H a, so the estimate approaches sigma
-    from below.
+    The two-norm is the largest singular value from LAPACK. The Frobenius
+    norm divides each block by its largest magnitude before squaring, so
+    blocks near the ends of the exponent range neither underflow nor
+    overflow.
     """
-    g = a.conj().T @ a
-    ncols = g.shape[0]
-    v = np.full(ncols, 1.0 / np.sqrt(ncols), dtype=np.complex128)
-    lam_prev = -1.0
-    lam = 0.0
-    for _ in range(_POWER_MAXITER):
-        w = g @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0, True
-        v = w / lam
-        if abs(lam - lam_prev) <= _POWER_RELTOL * lam:
-            return float(np.sqrt(lam)), True
-        lam_prev = lam
-    return float(np.sqrt(lam)), False
-
-
-def _two_norm_jacobi(a: np.ndarray) -> float:
-    """Largest singular value via one-sided Jacobi orthogonalization.
-
-    Deterministic cyclic sweeps; used as the fallback when power
-    iteration stalls or fails its certificate check.
-    """
-    w = np.array(a, dtype=np.complex128, copy=True)
-    ncols = w.shape[1]
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(ncols - 1):
-            for q in range(p + 1, ncols):
-                gamma = np.vdot(w[:, p], w[:, q])
-                alpha = np.vdot(w[:, p], w[:, p]).real
-                beta = np.vdot(w[:, q], w[:, q]).real
-                if abs(gamma) <= _JACOBI_TOL * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                phase = gamma / abs(gamma)
-                # Rotate columns p and (phase-adjusted) q to orthogonality.
-                zeta = (beta - alpha) / (2.0 * abs(gamma))
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = w[:, p].copy()
-                col_q = w[:, q] * np.conj(phase)
-                w[:, p] = c * col_p - s * col_q
-                w[:, q] = s * col_p + c * col_q
-        if not rotated:
-            break
-    return float(np.sqrt((np.abs(w) ** 2).sum(axis=0)).max())
-
-
-def _two_norm(a: np.ndarray) -> float:
-    if a.shape == (1, 1):
-        return float(abs(a[0, 0]))
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        return 0.0
-    b = a / scale
-    sigma, converged = _two_norm_power(b)
-    # Cheap lower bounds on sigma_max certify the power iteration result;
-    # the all-ones start vector can be orthogonal to the top singular
-    # direction, in which case the iteration converges to a smaller sigma.
-    sq = np.abs(b) ** 2
-    certificate = max(
-        float(np.sqrt(sq.sum(axis=0).max())),
-        float(np.sqrt(sq.sum(axis=1).max())),
-        float(np.sqrt(sq.sum() / min(b.shape))),
-    )
-    if not converged or sigma < certificate * (1.0 - 1e-9):
-        sigma = _two_norm_jacobi(b)
-    return sigma * scale
+    a = np.asarray(stack, dtype=np.complex128)
+    if kind is NormKind.ONE:
+        return np.abs(a).sum(axis=-2).max(axis=-1)
+    if kind is NormKind.INF:
+        return np.abs(a).sum(axis=-1).max(axis=-1)
+    if kind is NormKind.FRO:
+        mag = np.abs(a)
+        scale = mag.max(axis=(-2, -1), keepdims=True)
+        safe = np.where(scale == 0.0, 1.0, scale)
+        return scale[..., 0, 0] * np.sqrt(((mag / safe) ** 2).sum(axis=(-2, -1)))
+    if kind is NormKind.TWO:
+        return np.linalg.svd(a, compute_uv=False)[..., 0]
+    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def norm(block, kind: NormKind) -> float:
@@ -245,18 +177,30 @@ def norm(block, kind: NormKind) -> float:
         raise ValueError("norm expects a 2-d block")
     if a.size == 0:
         raise ValueError("norm of an empty block is undefined")
-    if kind is NormKind.ONE:
-        return float(np.abs(a).sum(axis=0).max())
-    if kind is NormKind.INF:
-        return float(np.abs(a).sum(axis=1).max())
-    if kind is NormKind.FRO:
-        scale = float(np.abs(a).max())
-        if scale == 0.0:
-            return 0.0
-        return scale * float(np.sqrt((np.abs(a / scale) ** 2).sum()))
-    if kind is NormKind.TWO:
-        return _two_norm(a)
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return float(batch_norm(a, kind))
+
+
+def singular_mask(svals: np.ndarray) -> np.ndarray:
+    """The singularity test, per block, from descending singular values
+    (..., m): sigma_min <= SINGULAR_SHIFT_RTOL * sigma_max. Being
+    relative, it passes 1e-200 * I and flags every zero block."""
+    return svals[..., -1] <= SINGULAR_SHIFT_RTOL * svals[..., 0]
+
+
+def solve_blocks(a, b=None, name: str = "A", first: int = 1) -> np.ndarray:
+    """A_k^{-1} B_k for every block of the (..., m, m) stack ``a``, or the
+    inverses A_k^{-1} when ``b`` is None; one LAPACK call for the stack.
+
+    Blocks are numbered from ``first``; if any fails the singularity
+    test, SingularError names the first as "{name}_{k} inversion".
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    bad = np.flatnonzero(singular_mask(np.linalg.svd(a, compute_uv=False)))
+    if bad.size:
+        raise SingularError(
+            f"singular matrix: sigma_min <= {SINGULAR_SHIFT_RTOL:g} sigma_max",
+            context=f"{name}_{first + int(bad[0])} inversion")
+    return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
 
 
 def identity_norm(m: int, kind: NormKind) -> float:
@@ -286,7 +230,7 @@ def eigenvalues_small(block, max_iter: int = 100) -> np.ndarray:
         vals, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    scale = _two_norm(a)
+    scale = norm(a, NormKind.TWO)
     tol = 1e-8 * scale if scale > 0.0 else 1e-8
     for k in range(m):
         v = vecs[:, k]

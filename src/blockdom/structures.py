@@ -65,6 +65,13 @@ class BlockTridiagonalMatrix:
                              if bs else np.zeros((0, m, m), dtype=np.complex128))
         return cls(diag=np.asarray(d), sup=shape3(list(sup)), sub=shape3(list(sub)))
 
+    def row_offdiag(self) -> np.ndarray:
+        """(n, 2, m, m) stack of each block row's off-diagonal blocks
+        C_{i-1} and B_i, zero where the row has none (C_0 and B_n)."""
+        zero = np.zeros((1, self.m, self.m), dtype=np.complex128)
+        return np.stack([np.concatenate([zero, self.sub]),
+                         np.concatenate([self.sup, zero])], axis=1)
+
     def to_dense(self) -> np.ndarray:
         n, m = self.n, self.m
         out = np.zeros((n * m, n * m), dtype=np.complex128)

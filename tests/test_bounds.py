@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blockdom import (DominanceViolation, NormKind, build_example,
+from blockdom import (DominanceViolation, NormKind, SingularError, build_example,
                       compute_bounds, compute_chains, compute_tau_omega,
                       decay_envelope, ikebe_factors, invert_block_tridiagonal)
 
@@ -135,6 +135,11 @@ class TestChains:
             lhs = f.y[i - 1]
             rhs = -ch.M(i) @ f.y[i - 2]
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
+
+    def test_singular_chain_block_named(self):
+        # T_2 = 1 - (1/1)(1/1) = 0 when every block is 1.
+        with pytest.raises(SingularError, match="T_2 inversion"):
+            compute_chains(scalar_tridiag(3, 1.0, 1.0, 1.0))
 
     def test_n1_empty(self):
         ch = compute_chains(scalar_tridiag(1, 0.0, 2.0, 0.0))

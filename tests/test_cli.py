@@ -201,6 +201,14 @@ class TestGershgorin:
         write_matrix_file(p, build_example("ex3.1a"))
         assert main(["gershgorin", "--input", str(p), "--box", "1,2,3"]) == 1
 
+    def test_bad_thread_count(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "g.json"
+        write_matrix_file(p, build_example("ex3.1a"))
+        monkeypatch.setenv("BLOCKDOM_THREADS", "0")
+        assert main(["gershgorin", "--input", str(p), "--output", str(tmp_path / "o"),
+                     "--box=-1,9,-4,4"]) == 1
+        assert "BLOCKDOM_THREADS" in capsys.readouterr().err
+
     def test_tridiagonal_input_accepted(self, laplacian_file, tmp_path):
         out = tmp_path / "out"
         assert main(["gershgorin", "--input", str(laplacian_file),

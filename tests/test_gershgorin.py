@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from blockdom import (GeneralBlockMatrix, NormKind, auto_box, build_example,
                       compare_regions, eval_grid, margins_at, norm)
-from blockdom.gershgorin import _row_margins, _rows_offs_radii
+from blockdom.gershgorin import _row_margins, _rows_offs_radii, worker_count
 
 from helpers import ALL_KINDS, random_general, scalar_tridiag
 
@@ -177,6 +179,21 @@ class TestEvalGrid:
         monkeypatch.setenv("BLOCKDOM_THREADS", "2")
         from_env = eval_grid(a, box, 23, 17, NormKind.TWO)
         assert np.array_equal(serial.margins_new, from_env.margins_new)
+
+    def test_worker_count_validated_and_capped(self, monkeypatch):
+        cpus = os.cpu_count() or 1
+        monkeypatch.delenv("BLOCKDOM_THREADS", raising=False)
+        assert worker_count(100) == 1
+        assert worker_count(100, workers=10 ** 6) == min(cpus, 100)
+        assert worker_count(2, workers=10 ** 6) == min(cpus, 2)
+        monkeypatch.setenv("BLOCKDOM_THREADS", str(10 ** 6))
+        assert worker_count(100) == min(cpus, 100)
+        for bad in ("0", "-3", "2.5", "many", ""):
+            monkeypatch.setenv("BLOCKDOM_THREADS", bad)
+            with pytest.raises(ValueError, match="BLOCKDOM_THREADS"):
+                worker_count(100)
+        with pytest.raises(ValueError, match="workers"):
+            worker_count(100, workers=0)
 
     def test_degenerate_box_rejected(self):
         a = build_example("ex3.1a")

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdom import (ConvergenceError, NormKind, SingularError,
+from blockdom import (ConvergenceError, NormKind, SingularError, batch_norm,
                       eigenvalues_small, identity_norm, invert, lu_factor,
-                      lu_solve, matmul, norm)
-from blockdom.kernels import _two_norm_jacobi, _two_norm_power
+                      lu_solve, norm, solve_blocks)
 
-from helpers import ALL_KINDS, np_norm, random_block
+from helpers import ALL_KINDS, NP_ORD, np_norm, random_block
 
 
 class TestLU:
@@ -84,26 +83,23 @@ class TestInvert:
         with pytest.raises(SingularError):
             invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    def test_solve_blocks_random_stack(self):
+        rng = np.random.default_rng(14)
+        a = np.array([random_block(rng, 4) + 3.0 * np.eye(4) for _ in range(5)])
+        b = np.array([random_block(rng, 4) for _ in range(5)])
+        assert np.abs(a @ solve_blocks(a, b) - b).max() <= 1e-11
+        assert np.abs(solve_blocks(a) @ a - np.eye(4)).max() <= 1e-11
 
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
+    def test_solve_blocks_names_first_singular_block(self):
+        a = np.array([np.eye(2), 2.0 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))])
+        with pytest.raises(SingularError, match="A_3 inversion"):
+            solve_blocks(a)
+        with pytest.raises(SingularError, match="T_2 inversion"):
+            solve_blocks(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2), "T", 2)
 
-    def test_vs_loop_oracle(self):
-        rng = np.random.default_rng(8)
-        a = random_block(rng, 3)
-        b = random_block(rng, 3)
-        ref = np.zeros((3, 3), dtype=np.complex128)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    ref[i, j] += a[i, k] * b[k, j]
-        assert np.abs(matmul(a, b) - ref).max() <= 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
+    def test_solve_blocks_scale_invariant(self):
+        inv = solve_blocks(1e-200 * np.array([np.eye(3), np.eye(3)]))
+        assert np.allclose(inv, 1e200 * np.eye(3), rtol=1e-14, atol=0.0)
 
 
 class TestNorm:
@@ -134,25 +130,23 @@ class TestNorm:
             for kind in ALL_KINDS:
                 assert norm(a, kind) == pytest.approx(np_norm(a, kind), rel=1e-10)
 
+    def test_batch_against_numpy_and_per_block(self):
+        rng = np.random.default_rng(15)
+        for m in (1, 3, 6):
+            stack = np.array([[random_block(rng, m) for _ in range(4)] for _ in range(3)])
+            for kind in ALL_KINDS:
+                got = batch_norm(stack, kind)
+                ref = np.linalg.norm(stack, ord=NP_ORD[kind], axis=(-2, -1))
+                assert got.shape == (3, 4)
+                assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+                per_block = [[norm(b, kind) for b in row] for row in stack]
+                assert np.array_equal(got, per_block)
+
     def test_power_iteration_blind_start(self):
         # The all-ones start vector is orthogonal to the top singular
         # direction here; the certificate check must trigger the fallback.
         a = np.array([[2.5, -0.5], [-0.5, 2.5]])
         assert norm(a, NormKind.TWO) == pytest.approx(3.0, rel=1e-12)
-
-    def test_jacobi_direct(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            a = random_block(rng, 5)
-            assert _two_norm_jacobi(a) == pytest.approx(np_norm(a, NormKind.TWO), rel=1e-12)
-
-    def test_power_estimate_never_above(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            a = random_block(rng, 4)
-            a = a / np.abs(a).max()
-            sigma, _ = _two_norm_power(a)
-            assert sigma <= np_norm(a, NormKind.TWO) * (1 + 1e-9)
 
     def test_extreme_scales(self):
         big = np.array([[3e200, 0.0], [0.0, 1e200]])
@@ -161,6 +155,11 @@ class TestNorm:
         # Unscaled sums of squares would underflow to zero here.
         assert norm(tiny, NormKind.FRO) == pytest.approx(np.sqrt(10.0) * 1e-200, rel=1e-10)
         assert norm(tiny, NormKind.TWO) == pytest.approx(3e-200, rel=1e-10)
+        # Squares of 3e200 overflow as squares of 3e-200 underflow.
+        stack = np.array([big, tiny])
+        assert batch_norm(stack, NormKind.TWO) == pytest.approx([3e200, 3e-200], rel=1e-10)
+        assert batch_norm(stack, NormKind.FRO) == pytest.approx(
+            [np.sqrt(10.0) * 1e200, np.sqrt(10.0) * 1e-200], rel=1e-10)
 
     @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
