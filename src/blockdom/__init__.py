@@ -5,8 +5,7 @@ from .bounds import (BoundsReport, ChainFactors, DominanceViolation,
                      TauOmegaTable, compute_bounds, compute_chains,
                      compute_tau_omega, decay_envelope)
 from .dominance import (Certificate, DominanceReport, Inconclusive,
-                        certify_nonsingular, check_fv_dominance,
-                        check_row_block_dominance)
+                        certify_nonsingular, check_row_block_dominance)
 from .experiments import (EXPERIMENT_IDS, GOLDEN_TABLES, REFERENCE_EIGENVALUES,
                           ExperimentResult, ExperimentSpec, build_example,
                           run_experiment)
@@ -22,7 +21,7 @@ from .kernels import (ConvergenceError, LUFactors, NormKind, SingularError,
 from .matrixio import (MatrixFileError, dump_json_text, read_matrix_file,
                        write_json_file, write_matrix_file)
 from .structures import (BlockTridiagonalMatrix, GeneralBlockMatrix,
-                         block_tridiag_from_stencils, build_random_diag,
+                         block_rows, block_tridiag_from_stencils, build_random_diag,
                          build_tridiag_toeplitz, kron_sum,
                          left_scale_blockrows, tridiag_from_dense)
 

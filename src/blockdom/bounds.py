@@ -22,7 +22,7 @@ import numpy as np
 
 from .inverse import BlockInverse
 from .kernels import NormKind, batch_norm, identity_norm, solve_blocks
-from .structures import BlockTridiagonalMatrix
+from .structures import BlockTridiagonalMatrix, block_rows
 
 
 class DominanceViolation(ValueError):
@@ -38,11 +38,17 @@ class DominanceViolation(ValueError):
 
 @dataclass(frozen=True)
 class TauOmegaTable:
-    """Refined decay coefficients; tau[i-1, t-1] holds tau_{i,t}."""
+    """Refined decay coefficients; tau[i-1, t-1] holds tau_{i,t}. It also
+    carries the block norms ||A_i||, ||A_i^{-1}||, ||B_i||, ||C_i|| of its
+    matrix, which the bounds use."""
 
     norm_kind: NormKind
     tau: np.ndarray
     omega: np.ndarray
+    diag_norms: np.ndarray
+    inv_diag_norms: np.ndarray
+    sup_norms: np.ndarray
+    sub_norms: np.ndarray
 
     @property
     def n(self) -> int:
@@ -83,11 +89,13 @@ def _ratio(num: float, den: float, row: int, step: int, which: str) -> float:
     return num / den
 
 
-def _diag_solves(a: BlockTridiagonalMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(n, m, m) stacks A_i^{-1} C_{i-1} and A_i^{-1} B_i, zero for the
-    absent C_0 and B_n, from one stacked solve over the diagonal."""
-    x = solve_blocks(a.diag[:, None], a.row_offdiag())
-    return x[:, 0], x[:, 1]
+def _diag_solves(a: BlockTridiagonalMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, m, m) stacks A_i^{-1} C_{i-1}, A_i^{-1} B_i (zero for the absent
+    C_0 and B_n) and A_i^{-1}, from one stacked solve over the diagonal."""
+    diag, offs = block_rows(a)
+    eye = np.broadcast_to(np.eye(a.m, dtype=np.complex128), (a.n, 1, a.m, a.m))
+    x = solve_blocks(diag[:, None], np.concatenate([offs, eye], axis=1))
+    return x[:, 0], x[:, 1], x[:, 2]
 
 
 def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
@@ -106,7 +114,7 @@ def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
 
     # nab[i-1] = ||A_i^{-1} B_i||  (zero for i = n),
     # nac[i-1] = ||A_i^{-1} C_{i-1}||  (zero for i = 1).
-    ac, ab = _diag_solves(a)
+    ac, ab, inv = _diag_solves(a)
     nab = batch_norm(ab, kind)
     nac = batch_norm(ac, kind)
 
@@ -129,7 +137,10 @@ def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
                 nxt = omega[i, t - 2] if i <= n - 1 else 0.0
                 omega[i - 1, t - 1] = _ratio(
                     nac[i - 1], 1.0 - nab[i - 1] * nxt, i, t, "omega")
-    return TauOmegaTable(norm_kind=kind, tau=tau, omega=omega)
+    return TauOmegaTable(
+        norm_kind=kind, tau=tau, omega=omega,
+        diag_norms=batch_norm(a.diag, kind), inv_diag_norms=batch_norm(inv, kind),
+        sup_norms=batch_norm(a.sup, kind), sub_norms=batch_norm(a.sub, kind))
 
 
 @dataclass(frozen=True)
@@ -173,7 +184,7 @@ def compute_chains(a: BlockTridiagonalMatrix) -> ChainFactors:
         return ChainFactors(empty, empty, empty, empty)
 
     # ac[i-1] = A_i^{-1} C_{i-1} and ab[i-1] = A_i^{-1} B_i.
-    ac, ab = _diag_solves(a)
+    ac, ab, _ = _diag_solves(a)
 
     l = [None] * (n - 1)
     t = [None] * (n - 1)
@@ -270,51 +281,35 @@ def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse | None,
     n, m = a.n, a.m
     kind = table.norm_kind
     eye_n = identity_norm(m, kind)
+    na, inv_na = table.diag_norms, table.inv_diag_norms
+    nb, nc = table.sup_norms, table.sub_norms
 
-    na = batch_norm(a.diag, kind)
-    nb = batch_norm(a.sup, kind)
-    nc = batch_norm(a.sub, kind)
-    inv_na = batch_norm(solve_blocks(a.diag), kind)
+    tau, omega = table.tau[:, t - 1], table.omega[:, t - 1]
 
     # Diagonal sandwich: tau_{i-1,t} ||C_{i-1}|| and omega_{i+1,t} ||B_i||
     # vanish at the corners.
-    lower = np.zeros(n)
-    diag_upper = np.zeros(n)
-    diag_valid = np.ones(n, dtype=bool)
-    for i in range(1, n + 1):
-        tail = 0.0
-        if i > 1:
-            tail += table.tau_at(i - 1, t) * nc[i - 2]
-        if i < n:
-            tail += table.omega_at(i + 1, t) * nb[i - 1]
-        lower[i - 1] = eye_n / (na[i - 1] + tail)
-        den = 1.0 / inv_na[i - 1] - tail
-        if den > 0.0:
-            diag_upper[i - 1] = eye_n / den
-        else:
-            diag_upper[i - 1] = np.inf
-            diag_valid[i - 1] = False
+    tail = np.zeros(n)
+    tail[1:] += tau[:-1] * nc
+    tail[:-1] += omega[1:] * nb
+    lower = eye_n / (na + tail)
+    den = 1.0 / inv_na - tail
+    diag_valid = den > 0.0
+    diag_upper = np.full(n, np.inf)
+    diag_upper[diag_valid] = eye_n / den[diag_valid]
 
-    z_norms = None
-    if z is not None:
-        z_norms = z.norm_grid(kind)
+    z_norms = None if z is None else z.norm_grid(kind)
+    anchor = z_norms.diagonal() if anchor_from_inverse else diag_upper
 
-    anchor = z_norms.diagonal().copy() if anchor_from_inverse else diag_upper.copy()
-
-    upper = np.empty((n, n))
-    for j in range(1, n + 1):
-        upper[j - 1, j - 1] = diag_upper[j - 1]
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            if i < j:
-                prod = float(np.prod([table.tau_at(k, t) for k in range(i, j)]))
-            else:
-                prod = float(np.prod([table.omega_at(k, t) for k in range(j + 1, i + 1)]))
-            if np.isinf(anchor[j - 1]):
-                upper[i - 1, j - 1] = np.inf
-            else:
-                upper[i - 1, j - 1] = anchor[j - 1] * prod
+    # prods[i-1, j-1] is tau_i ... tau_{j-1} above the diagonal and
+    # omega_{j+1} ... omega_i below it, multiplied in that order.
+    prods = np.ones((n, n))
+    for k in range(n - 1):
+        prods[k, k + 1:] = np.cumprod(tau[k:-1])
+        prods[k + 1:, k] = np.cumprod(omega[k + 1:])
+    upper = np.full((n, n), np.inf)
+    finite = ~np.isinf(anchor)
+    upper[:, finite] = anchor[finite] * prods[:, finite]
+    np.fill_diagonal(upper, diag_upper)
 
     e_upper = None
     e_lower = None
@@ -322,18 +317,13 @@ def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse | None,
     max_el = None
     if z is not None:
         e_upper = np.full((n, n), np.nan)
+        pos = np.isfinite(upper) & (upper > 0.0)
+        e_upper[pos] = (upper[pos] - z_norms[pos]) / upper[pos]
+        e_upper[np.isfinite(upper) & (upper <= 0.0) & (z_norms == 0.0)] = 0.0
+        zd = z_norms.diagonal()
         e_lower = np.full(n, np.nan)
-        for i in range(n):
-            for j in range(n):
-                u = upper[i, j]
-                if not np.isfinite(u):
-                    continue
-                if u > 0.0:
-                    e_upper[i, j] = (u - z_norms[i, j]) / u
-                elif z_norms[i, j] == 0.0:
-                    e_upper[i, j] = 0.0
-            if z_norms[i, i] > 0.0:
-                e_lower[i] = (z_norms[i, i] - lower[i]) / z_norms[i, i]
+        pos = zd > 0.0
+        e_lower[pos] = (zd[pos] - lower[pos]) / zd[pos]
         off = ~np.eye(n, dtype=bool) & np.isfinite(e_upper)
         if off.any():
             max_eu = float(e_upper[off].max())

@@ -7,28 +7,30 @@ mismatch in ``reproduce``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-from .bounds import DominanceViolation, compute_bounds, compute_tau_omega
+from .bounds import DominanceViolation
 from .dominance import check_row_block_dominance
-from .experiments import EXPERIMENT_IDS, SEEDED_IDS, ExperimentSpec, run_experiment
+from .experiments import (EXPERIMENT_IDS, SEEDED_IDS, ExperimentSpec,
+                          run_bounds_chain, run_experiment)
 from .gershgorin import compare_regions, eval_grid
-from .inverse import (RecurrenceOverflowError, assemble_inverse,
-                      condition_estimate, ikebe_factors, residual)
+from .inverse import RecurrenceOverflowError
 from .kernels import NormKind, SingularError
 from .matrixio import (MatrixFileError, dump_json_text, read_matrix_file,
-                       write_json_file, write_matrix_file)
+                       write_json_file)
 from .structures import BlockTridiagonalMatrix
 
 
 def _parse_t(value: str):
+    """The refinement steps: None for "all", else a one-step tuple."""
     if value == "all":
-        return "all"
+        return None
     t = int(value)
     if t < 1:
         raise ValueError("t must be positive")
-    return t
+    return (t,)
 
 
 def _parse_box(value: str):
@@ -37,7 +39,9 @@ def _parse_box(value: str):
     parts = value.split(",")
     if len(parts) != 4:
         raise ValueError("box must be 'auto' or RE_MIN,RE_MAX,IM_MIN,IM_MAX")
-    re_min, re_max, im_min, im_max = (float(p) for p in parts)
+    re_min, re_max, im_min, im_max = values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"box {value} has a non-finite bound")
     if not (re_min < re_max and im_min < im_max):
         raise ValueError("box must satisfy RE_MIN < RE_MAX and IM_MIN < IM_MAX")
     return re_min, re_max, im_min, im_max
@@ -58,50 +62,24 @@ def cmd_check(args) -> int:
 
 def cmd_invert(args) -> int:
     a = _require_tridiag(read_matrix_file(args.input))
-    z = assemble_inverse(ikebe_factors(a))
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    write_matrix_file(out / "inverse.json", z.to_general())
-    res = residual(a, z, args.norm)
-    write_json_file(out / "residual.json", {
-        "norm": args.norm.value,
-        "residual": res,
-        "condition_estimate": condition_estimate(a, z, args.norm),
-        "diag_consistency": z.diag_consistency,
-    })
-    print(f"residual ({args.norm.value}-norm): {res:.6e}")
-    print(f"wrote {out / 'inverse.json'} and {out / 'residual.json'}")
+    chain = run_bounds_chain(a, args.norm, Path(args.output), ("inverse", "residual"))
+    print(f"residual ({args.norm.value}-norm): {chain.residual['residual']:.6e}")
+    print(f"wrote {chain.artifacts['inverse']} and {chain.artifacts['residual']}")
     return 0
 
 
 def cmd_bounds(args) -> int:
     a = _require_tridiag(read_matrix_file(args.input))
-    report = check_row_block_dominance(a, args.norm)
-    if not report.dominant:
+    chain = run_bounds_chain(a, args.norm, Path(args.output), ("bounds",), args.t)
+    if not chain.dominance.dominant:
         print("matrix is not row block diagonally dominant; bounds do not apply",
               file=sys.stderr)
         return 2
-    t_max = max(1, a.n - 1)
-    table = compute_tau_omega(a, args.norm, t_max)
-    if args.t == "all":
-        t_values = range(1, t_max + 1)
-    else:
-        if args.t > t_max:
-            raise ValueError(f"t={args.t} exceeds the refinement range 1..{t_max}")
-        t_values = [args.t]
-    z = assemble_inverse(ikebe_factors(a))
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    summaries = []
-    for t in t_values:
-        rep = compute_bounds(a, z, table, t)
-        rep.write_csv(out / f"bounds_t{t}.csv")
-        summaries.append(rep.summary_dict())
+    for t, rep in chain.reports.items():
         eu = "n/a" if rep.max_eu is None else f"{rep.max_eu:.6g}"
         el = "n/a" if rep.max_el is None else f"{rep.max_el:.6g}"
         print(f"t={t} max_Eu={eu} max_El={el} rho1={rep.rho1:.6g} rho2={rep.rho2:.6g}")
-    write_json_file(out / "bounds_summary.json", summaries)
-    print(f"wrote per-step CSVs and {out / 'bounds_summary.json'}")
+    print(f"wrote per-step CSVs and {chain.artifacts['bounds_summary']}")
     return 0
 
 
@@ -129,7 +107,7 @@ def cmd_reproduce(args) -> int:
     output = Path(args.output) if args.output else Path("out") / args.experiment
     spec = ExperimentSpec(
         exp_id=args.experiment, seed=args.seed, norm=args.norm,
-        output_dir=output, t_values=None if args.t == "all" else (args.t,),
+        output_dir=output, t_values=args.t,
         nx=args.nx, ny=args.ny, box=args.box)
     result = run_experiment(spec)
     for msg in result.messages:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import NormKind, batch_norm, singular_mask, solve_blocks
-from .structures import BlockTridiagonalMatrix, GeneralBlockMatrix
+from .structures import block_rows
 
 
 @dataclass(frozen=True)
@@ -57,22 +57,9 @@ class Inconclusive:
     reason: str
 
 
-def _block_rows(a) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, m, m) diagonal blocks and, per block row, an (n, k, m, m)
-    stack of its off-diagonal blocks, zero where a block is absent."""
-    if isinstance(a, BlockTridiagonalMatrix):
-        return a.diag, a.row_offdiag()
-    if isinstance(a, GeneralBlockMatrix):
-        idx = np.arange(a.n)
-        offs = a.blocks.copy()
-        offs[idx, idx] = 0.0
-        return a.blocks[idx, idx], offs
-    raise TypeError(f"unsupported matrix type {type(a).__name__}")
-
-
 def check_row_block_dominance(a, kind: NormKind) -> DominanceReport:
     """Evaluate both dominance conditions for all block rows at once."""
-    diag, offs = _block_rows(a)
+    diag, offs = block_rows(a)
     singular = singular_mask(np.linalg.svd(diag, compute_uv=False))
     ok = ~singular
     row_sums = np.full(a.n, np.inf)
@@ -95,12 +82,6 @@ def check_row_block_dominance(a, kind: NormKind) -> DominanceReport:
         strict=nonsingular and bool(np.all(row_sums < 1.0)),
         fv_dominant=nonsingular and bool(np.all(fv_margins <= 0.0)),
     )
-
-
-def check_fv_dominance(a, kind: NormKind) -> DominanceReport:
-    """Same report as check_row_block_dominance; read fv_margins and
-    fv_dominant for the norm-split condition."""
-    return check_row_block_dominance(a, kind)
 
 
 def certify_nonsingular(a, kind: NormKind) -> Certificate | Inconclusive:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import NormKind, batch_norm, eigenvalues_small, norm, singular_mask
-from .structures import BlockTridiagonalMatrix, GeneralBlockMatrix
+from .structures import block_rows
 
 
 @dataclass(frozen=True)
@@ -124,17 +124,13 @@ class ComparisonSummary:
         }
 
 
-def _as_general(a) -> GeneralBlockMatrix:
-    if isinstance(a, BlockTridiagonalMatrix):
-        return a.to_general()
-    if isinstance(a, GeneralBlockMatrix):
-        return a
-    raise TypeError(f"unsupported matrix type {type(a).__name__}")
-
-
-def _row_margins(diag: np.ndarray, offs: list[np.ndarray], radius: float,
-                 zs: np.ndarray, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
-    """Margins of one block row at a batch of points."""
+def _row_margins(diag: np.ndarray, offs: np.ndarray, zs: np.ndarray,
+                 kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    """Margins of one block row, split as by block_rows, at a batch of
+    points. Zero blocks add exactly nothing to a margin and are skipped,
+    so a tridiagonal row costs at most its two structural blocks."""
+    offs = [b for b in offs if b.any()]
+    radius = sum(norm(b, kind) for b in offs)
     m = diag.shape[0]
     if m == 1:
         dist = np.abs(diag[0, 0] - zs)
@@ -176,22 +172,12 @@ def _row_margins(diag: np.ndarray, offs: list[np.ndarray], radius: float,
     return margins_new, margins_fv
 
 
-def _rows_offs_radii(g: GeneralBlockMatrix, kind: NormKind):
-    rows = []
-    for i in range(g.n):
-        offs = [np.ascontiguousarray(g.blocks[i, j]) for j in range(g.n) if j != i]
-        radius = sum(norm(b, kind) for b in offs)
-        rows.append((np.ascontiguousarray(g.blocks[i, i]), offs, radius))
-    return rows
-
-
 def margins_at(a, z: complex, kind: NormKind) -> list[RegionQuery]:
     """Both margins of every block row at a single point."""
-    g = _as_general(a)
     zs = np.asarray([z], dtype=np.complex128)
     out = []
-    for i, (diag, offs, radius) in enumerate(_rows_offs_radii(g, kind)):
-        mn, mf = _row_margins(diag, offs, radius, zs, kind)
+    for i, (diag, offs) in enumerate(zip(*block_rows(a))):
+        mn, mf = _row_margins(diag, offs, zs, kind)
         out.append(RegionQuery(z=complex(z), row=i + 1,
                                margin_new=float(mn[0]), margin_fv=float(mf[0])))
     return out
@@ -200,10 +186,10 @@ def margins_at(a, z: complex, kind: NormKind) -> list[RegionQuery]:
 def auto_box(a, kind: NormKind, pad: float = 0.1) -> tuple[float, float, float, float]:
     """Window covering the union of disks around each diagonal block's
     eigenvalues with that row's off-diagonal norm sum as radius."""
-    g = _as_general(a)
     re_lo = im_lo = np.inf
     re_hi = im_hi = -np.inf
-    for diag, _, radius in _rows_offs_radii(g, kind):
+    for diag, offs in zip(*block_rows(a)):
+        radius = sum(norm(b, kind) for b in offs)
         eigs = eigenvalues_small(diag)
         re_lo = min(re_lo, float((eigs.real - radius).min()))
         re_hi = max(re_hi, float((eigs.real + radius).max()))
@@ -245,10 +231,12 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
     ``workers`` defaults to the BLOCKDOM_THREADS environment variable;
     see worker_count for its validation and cap.
     """
-    g = _as_general(a)
+    diag, offs = block_rows(a)
     if box is None:
-        box = auto_box(g, kind)
+        box = auto_box(a, kind)
     re_min, re_max, im_min, im_max = (float(v) for v in box)
+    if not np.all(np.isfinite([re_min, re_max, im_min, im_max])):
+        raise ValueError(f"box {box} has a non-finite bound")
     if not (re_min < re_max and im_min < im_max):
         raise ValueError(f"degenerate box {box}")
     if nx < 2 or ny < 2:
@@ -259,18 +247,18 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
     ims = np.linspace(im_min, im_max, ny)
     zs = (res[None, :] + 1j * ims[:, None]).ravel()
 
-    rows = _rows_offs_radii(g, kind)
-    margins_new = np.empty((g.n, ny * nx))
-    margins_fv = np.empty((g.n, ny * nx))
+    n = diag.shape[0]
+    margins_new = np.empty((n, ny * nx))
+    margins_fv = np.empty((n, ny * nx))
 
     if workers == 1:
-        for i, (diag, offs, radius) in enumerate(rows):
-            margins_new[i], margins_fv[i] = _row_margins(diag, offs, radius, zs, kind)
+        for i in range(n):
+            margins_new[i], margins_fv[i] = _row_margins(diag[i], offs[i], zs, kind)
     else:
         chunks = np.array_split(np.arange(zs.shape[0]), workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, (diag, offs, radius) in enumerate(rows):
-                futures = [pool.submit(_row_margins, diag, offs, radius, zs[c], kind)
+            for i in range(n):
+                futures = [pool.submit(_row_margins, diag[i], offs[i], zs[c], kind)
                            for c in chunks]
                 mn = np.concatenate([f.result()[0] for f in futures])
                 mf = np.concatenate([f.result()[1] for f in futures])
@@ -279,8 +267,8 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
     return RegionGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
         nx=nx, ny=ny, norm_kind=kind,
-        margins_new=margins_new.reshape(g.n, ny, nx),
-        margins_fv=margins_fv.reshape(g.n, ny, nx))
+        margins_new=margins_new.reshape(n, ny, nx),
+        margins_fv=margins_fv.reshape(n, ny, nx))
 
 
 def compare_regions(grid: RegionGrid) -> ComparisonSummary:

@@ -21,6 +21,7 @@ so write/read round trips are bit exact. Unknown fields are rejected.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Iterable
 
@@ -81,11 +82,17 @@ def dump_json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} as JSON")
 
 
-def write_json_file(path, obj) -> None:
+def _write_text(path, text: str) -> None:
+    """Write through a temporary file, so that a reader never sees a
+    partly written artifact."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.write(dump_json_text(obj) + "\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def write_json_file(path, obj) -> None:
+    _write_text(path, dump_json_text(obj) + "\n")
 
 
 class MatrixFileError(ValueError):
@@ -139,10 +146,7 @@ def write_matrix_file(path, matrix) -> None:
         '  "m": %d,\n'
         '  "blocks": {\n    %s\n  }\n'
         "}\n" % (SCHEMA_VERSION, kind, matrix.n, matrix.m, blocks))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _write_text(path, text)
 
 
 def _require_keys(obj: dict, keys: set[str], path: str) -> None:
@@ -162,7 +166,11 @@ def _parse_entry(obj, path: str) -> complex:
     for name, v in (("re", re), ("im", im)):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise MatrixFileError("entry parts must be numbers", f"{path}.{name}")
-        if not np.isfinite(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:   # an integer past the float range
+            finite = False
+        if not finite:
             raise MatrixFileError("entry parts must be finite", f"{path}.{name}")
     return complex(re, im)
 

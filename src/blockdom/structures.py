@@ -65,13 +65,6 @@ class BlockTridiagonalMatrix:
                              if bs else np.zeros((0, m, m), dtype=np.complex128))
         return cls(diag=np.asarray(d), sup=shape3(list(sup)), sub=shape3(list(sub)))
 
-    def row_offdiag(self) -> np.ndarray:
-        """(n, 2, m, m) stack of each block row's off-diagonal blocks
-        C_{i-1} and B_i, zero where the row has none (C_0 and B_n)."""
-        zero = np.zeros((1, self.m, self.m), dtype=np.complex128)
-        return np.stack([np.concatenate([zero, self.sub]),
-                         np.concatenate([self.sup, zero])], axis=1)
-
     def to_dense(self) -> np.ndarray:
         n, m = self.n, self.m
         out = np.zeros((n * m, n * m), dtype=np.complex128)
@@ -133,6 +126,23 @@ class GeneralBlockMatrix:
         n = a.shape[0] // m
         grid = a.reshape(n, m, n, m).transpose(0, 2, 1, 3)
         return cls(blocks=grid)
+
+
+def block_rows(a) -> tuple[np.ndarray, np.ndarray]:
+    """Split a block matrix into block rows: the (n, m, m) diagonal blocks
+    and an (n, k, m, m) stack of each row's off-diagonal blocks, zero where
+    absent. A tridiagonal row holds C_{i-1} and B_i (k = 2, C_0 = B_n = 0);
+    a general row holds its whole block row, diagonal slot zeroed (k = n)."""
+    if isinstance(a, BlockTridiagonalMatrix):
+        zero = np.zeros((1, a.m, a.m), dtype=np.complex128)
+        return a.diag, np.stack([np.concatenate([zero, a.sub]),
+                                 np.concatenate([a.sup, zero])], axis=1)
+    if isinstance(a, GeneralBlockMatrix):
+        idx = np.arange(a.n)
+        offs = a.blocks.copy()
+        offs[idx, idx] = 0.0
+        return a.blocks[idx, idx], offs
+    raise TypeError(f"unsupported matrix type {type(a).__name__}")
 
 
 def tridiag_from_dense(dense, m: int) -> BlockTridiagonalMatrix:

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from blockdom import (DominanceViolation, NormKind, SingularError, build_example,
-                      compute_bounds, compute_chains, compute_tau_omega,
-                      decay_envelope, ikebe_factors, invert_block_tridiagonal)
+from blockdom import (DominanceViolation, NormKind, SingularError, batch_norm,
+                      build_example, compute_bounds, compute_chains, compute_tau_omega,
+                      decay_envelope, identity_norm, ikebe_factors,
+                      invert_block_tridiagonal, solve_blocks)
 
 from helpers import ALL_KINDS, np_norm, random_dominant_tridiag, scalar_tridiag
 
@@ -203,6 +204,73 @@ class TestInvalidDiagonal:
         assert rep.max_eu is not None
         assert np.isfinite(rep.max_eu)
         assert 0.0 <= rep.max_eu < 1.0
+
+
+def loop_bounds(a, z, table, t, anchor_from_inverse):
+    """The per-entry loops compute_bounds replaced, with the block norms
+    taken afresh from the matrix: (upper, lower, diag_valid, e_upper,
+    e_lower)."""
+    n, kind = a.n, table.norm_kind
+    eye_n = identity_norm(a.m, kind)
+    na, nb, nc = (batch_norm(x, kind) for x in (a.diag, a.sup, a.sub))
+    inv_na = batch_norm(solve_blocks(a.diag), kind)
+    lower, diag_upper, diag_valid = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
+    for i in range(1, n + 1):
+        tail = 0.0
+        if i > 1:
+            tail += table.tau_at(i - 1, t) * nc[i - 2]
+        if i < n:
+            tail += table.omega_at(i + 1, t) * nb[i - 1]
+        lower[i - 1] = eye_n / (na[i - 1] + tail)
+        den = 1.0 / inv_na[i - 1] - tail
+        diag_upper[i - 1] = eye_n / den if den > 0.0 else np.inf
+        diag_valid[i - 1] = den > 0.0
+    z_norms = None if z is None else z.norm_grid(kind)
+    anchor = z_norms.diagonal() if anchor_from_inverse else diag_upper
+    upper = np.empty((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i < j:
+                prod = float(np.prod([table.tau_at(k, t) for k in range(i, j)]))
+            else:
+                prod = float(np.prod([table.omega_at(k, t) for k in range(j + 1, i + 1)]))
+            upper[i - 1, j - 1] = np.inf if np.isinf(anchor[j - 1]) else anchor[j - 1] * prod
+        upper[i - 1, i - 1] = diag_upper[i - 1]
+    if z is None:
+        return upper, lower, diag_valid, None, None
+    e_upper, e_lower = np.full((n, n), np.nan), np.full(n, np.nan)
+    for i in range(n):
+        for j in range(n):
+            u = upper[i, j]
+            if np.isfinite(u) and u > 0.0:
+                e_upper[i, j] = (u - z_norms[i, j]) / u
+            elif np.isfinite(u) and z_norms[i, j] == 0.0:
+                e_upper[i, j] = 0.0
+        if z_norms[i, i] > 0.0:
+            e_lower[i] = (z_norms[i, i] - lower[i]) / z_norms[i, i]
+    return upper, lower, diag_valid, e_upper, e_lower
+
+
+class TestLoopReference:
+    def test_bitwise_equal_to_loops(self):
+        rng = np.random.default_rng(23)
+        # Scalar inputs are dominant in every norm, random ones in theirs.
+        cases = [(scalar_tridiag(6, -1.0, 2.0, -1.0), kind) for kind in ALL_KINDS]
+        cases += [(scalar_tridiag(5, -0.5, 2.0, -1.0), kind) for kind in ALL_KINDS]
+        for k in range(12):
+            kind = ALL_KINDS[k % 4]
+            cases.append((random_dominant_tridiag(rng, int(rng.integers(1, 9)), 1 + k % 3,
+                                                  kind, target=(0.9, 0.99)[k % 2]), kind))
+        for a, kind in cases:
+            z = invert_block_tridiagonal(a)
+            table = compute_tau_omega(a, kind)
+            for t in range(1, table.t_max + 1):
+                for anchored, zz in ((True, z), (False, z), (False, None)):
+                    rep = compute_bounds(a, zz, table, t, anchor_from_inverse=anchored)
+                    got = (rep.upper, rep.lower, rep.diag_upper_valid,
+                           rep.e_upper, rep.e_lower)
+                    for x, y in zip(got, loop_bounds(a, zz, table, t, anchored)):
+                        assert (x is None and y is None) or x.tobytes() == y.tobytes()
 
 
 class TestComputeBoundsLaplacian:

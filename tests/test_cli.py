@@ -201,6 +201,15 @@ class TestGershgorin:
         write_matrix_file(p, build_example("ex3.1a"))
         assert main(["gershgorin", "--input", str(p), "--box", "1,2,3"]) == 1
 
+    def test_non_finite_box(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        write_matrix_file(p, build_example("ex3.1a"))
+        assert main(["gershgorin", "--input", str(p), "--output", str(tmp_path / "o"),
+                     "--box=-inf,inf,-1,1"]) == 1
+        err = capsys.readouterr().err
+        assert "-inf,inf,-1,1" in err and "SVD" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_thread_count(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "g.json"
         write_matrix_file(p, build_example("ex3.1a"))
@@ -235,6 +244,20 @@ class TestReproduce:
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
         assert mismatch == [] and errors == []
 
+    def test_single_step_compares_only_that_step(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["reproduce", "ex2.1", "--t", "3", "--output", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "ex2.1: PASS" in text and "missing" not in text
+        assert (out / "bounds_t3.csv").exists()
+        assert not (out / "bounds_t1.csv").exists()
+
+    def test_step_out_of_range_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["reproduce", "ex2.1", "--t", "9", "--output", str(out)]) == 1
+        assert "t=9 exceeds the refinement range 1..8" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_seeded_example_needs_seed(self, tmp_path, capsys):
         assert main(["reproduce", "ex2.3", "--output", str(tmp_path / "o")]) == 1
         assert "--seed" in capsys.readouterr().err
@@ -247,6 +270,29 @@ class TestReproduce:
 
     def test_unknown_experiment(self, tmp_path):
         assert main(["reproduce", "ex9.9"]) == 1
+
+
+class TestSharedPipeline:
+    """The CLI commands and the experiments run one bounds pipeline, so
+    on the same matrix they write the same bytes."""
+
+    def test_bounds_match_reproduce(self, laplacian_file, tmp_path):
+        cli, exp = tmp_path / "cli", tmp_path / "exp"
+        assert main(["bounds", "--input", str(laplacian_file), "--output", str(cli),
+                     "--t", "all"]) == 0
+        assert main(["reproduce", "ex2.1", "--output", str(exp)]) == 0
+        names = sorted(p.name for p in cli.iterdir())
+        assert names == sorted([f"bounds_t{t}.csv" for t in range(1, 9)]
+                               + ["bounds_summary.json"])
+        match, mismatch, errors = filecmp.cmpfiles(cli, exp, names, shallow=False)
+        assert mismatch == [] and errors == []
+
+    def test_invert_matches_reproduce(self, laplacian_file, tmp_path):
+        cli, exp = tmp_path / "cli", tmp_path / "exp"
+        assert main(["invert", "--input", str(laplacian_file), "--output", str(cli)]) == 0
+        assert main(["reproduce", "ex2.1", "--output", str(exp)]) == 0
+        assert sorted(p.name for p in cli.iterdir()) == ["inverse.json", "residual.json"]
+        assert filecmp.cmp(cli / "residual.json", exp / "residual.json", shallow=False)
 
 
 class TestEntryPoints:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdom import (Certificate, GeneralBlockMatrix, Inconclusive, NormKind,
-                      build_example, certify_nonsingular, check_fv_dominance,
+                      build_example, certify_nonsingular,
                       check_row_block_dominance, kron_sum,
                       build_tridiag_toeplitz)
 
@@ -77,7 +77,7 @@ class TestFv:
         g = GeneralBlockMatrix(blocks=np.asarray([
             [np.diag([2.0, 5.0]), np.zeros((2, 2))],
             [np.zeros((2, 2)), np.diag([3.0, 4.0])]]))
-        rep = check_fv_dominance(g, NormKind.TWO)
+        rep = check_row_block_dominance(g, NormKind.TWO)
         # With zero off-diagonals the margin is -1/||A_ii^{-1}|| = -min |diag|.
         assert rep.fv_margins[0] == pytest.approx(-2.0, rel=1e-12)
         assert rep.fv_margins[1] == pytest.approx(-3.0, rel=1e-12)
@@ -85,7 +85,7 @@ class TestFv:
 
     def test_known_2x2_block_example(self):
         g = build_example("ex3.1a")
-        rep = check_fv_dominance(g, NormKind.TWO)
+        rep = check_row_block_dominance(g, NormKind.TWO)
         # ||A_12||_2 is the golden ratio, 1/||A_11^{-1}||_2 = lambda_min = 2.
         phi = (1.0 + np.sqrt(5.0)) / 2.0
         assert rep.fv_margins[0] == pytest.approx(phi - 2.0, abs=1e-9)

@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from blockdom import (GeneralBlockMatrix, NormKind, auto_box, build_example,
-                      compare_regions, eval_grid, margins_at, norm)
-from blockdom.gershgorin import _row_margins, _rows_offs_radii, worker_count
+from blockdom import (GeneralBlockMatrix, NormKind, auto_box, block_rows,
+                      build_example, compare_regions, eval_grid, margins_at, norm)
+from blockdom.gershgorin import _row_margins, worker_count
 
 from helpers import ALL_KINDS, random_general, scalar_tridiag
 
@@ -49,8 +49,9 @@ class TestMarginsAt:
         g = build_example("ex3.1b")
         zs = rng.uniform(-2, 10, 6) + 1j * rng.uniform(-4, 4, 6)
         for kind in ALL_KINDS:
-            for diag, offs, radius in _rows_offs_radii(g, kind):
-                mn, mf = _row_margins(diag, offs, radius, zs, kind)
+            for diag, offs in zip(*block_rows(g)):
+                radius = sum(norm(b, kind) for b in offs)
+                mn, mf = _row_margins(diag, offs, zs, kind)
                 for k, z in enumerate(zs):
                     shifted = diag - z * np.eye(2)
                     inv = np.linalg.inv(shifted)
@@ -201,6 +202,12 @@ class TestEvalGrid:
             eval_grid(a, (1.0, 1.0, -1.0, 1.0), 5, 5, NormKind.TWO)
         with pytest.raises(ValueError, match="nx"):
             eval_grid(a, (0.0, 1.0, -1.0, 1.0), 1, 5, NormKind.TWO)
+
+    def test_non_finite_box_rejected(self):
+        a = build_example("ex3.1a")
+        for box in ((-np.inf, np.inf, -1.0, 1.0), (0.0, 1.0, np.nan, 1.0)):
+            with pytest.raises(ValueError, match="non-finite"):
+                eval_grid(a, box, 5, 5, NormKind.TWO)
 
     def test_csv_layout(self, tmp_path):
         a = scalar_tridiag(2, -1.0, 2.0, -1.0)

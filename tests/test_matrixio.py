@@ -143,6 +143,13 @@ class TestValidation:
         with pytest.raises(MatrixFileError, match="must be numbers"):
             read_matrix_file(write_doc(tmp_path, doc))
 
+    def test_integer_past_float_range(self, tmp_path):
+        block = [{"re": 10 ** 400, "im": 0}]
+        doc = {"schema_version": "1", "kind": "general_block", "n": 1, "m": 1,
+               "blocks": {"grid": [[block]]}}
+        with pytest.raises(MatrixFileError, match=r"\$\.blocks\.grid\[0\]\[0\]\[0\]\.re"):
+            read_matrix_file(write_doc(tmp_path, doc))
+
     def test_nonpositive_n(self, tmp_path):
         doc = minimal_doc()
         doc["n"] = 0
