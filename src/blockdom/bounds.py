@@ -22,6 +22,7 @@ import numpy as np
 
 from .inverse import BlockInverse
 from .kernels import NormKind, batch_norm, identity_norm, solve_blocks
+from .matrixio import fill_floats
 from .structures import BlockTridiagonalMatrix, block_rows
 
 
@@ -245,23 +246,18 @@ class BoundsReport:
         }
 
     def write_csv(self, path) -> None:
-        def fmt(v: float) -> str:
-            if np.isnan(v):
-                return "nan"
-            if np.isinf(v):
-                return "inf"
-            return "%.17g" % v
-
-        lines = ["i,j,norm_Zij,u_ij,valid,E_u"]
-        for i in range(self.n):
-            for j in range(self.n):
-                nz = float(self.z_norms[i, j]) if self.z_norms is not None else float("nan")
-                eu = float(self.e_upper[i, j]) if self.e_upper is not None else float("nan")
-                valid = 1 if np.isfinite(self.upper[i, j]) else 0
-                lines.append("%d,%d,%s,%s,%d,%s" % (
-                    i + 1, j + 1, fmt(nz), fmt(self.upper[i, j]), valid, fmt(eu)))
+        """One line per block (i, j), row-major; norm_Zij and E_u are nan
+        without the computed inverse, and valid is 0 where u_ij is not finite."""
+        n = self.n
+        missing = np.full((n, n), np.nan)
+        valid = np.isfinite(self.upper).ravel().tolist()
+        line = "".join(f"{k // n + 1},{k % n + 1},%.17g,%.17g,{int(v)},%.17g\n"
+                       for k, v in enumerate(valid))
+        columns = np.stack([missing if self.z_norms is None else self.z_norms, self.upper,
+                            missing if self.e_upper is None else self.e_upper], axis=-1)
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("i,j,norm_Zij,u_ij,valid,E_u\n")
+            fh.write(fill_floats(line, columns))
 
 
 def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse | None,

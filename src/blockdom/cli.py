@@ -14,12 +14,10 @@ from pathlib import Path
 from .bounds import DominanceViolation
 from .dominance import check_row_block_dominance
 from .experiments import (EXPERIMENT_IDS, SEEDED_IDS, ExperimentSpec,
-                          run_bounds_chain, run_experiment)
-from .gershgorin import compare_regions, eval_grid
+                          run_bounds_chain, run_experiment, run_region_chain)
 from .inverse import RecurrenceOverflowError
 from .kernels import NormKind, SingularError
-from .matrixio import (MatrixFileError, dump_json_text, read_matrix_file,
-                       write_json_file)
+from .matrixio import MatrixFileError, dump_json_text, read_matrix_file
 from .structures import BlockTridiagonalMatrix
 
 
@@ -27,9 +25,12 @@ def _parse_t(value: str):
     """The refinement steps: None for "all", else a one-step tuple."""
     if value == "all":
         return None
-    t = int(value)
+    try:
+        t = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"t must be 'all' or an integer, not {value!r}") from None
     if t < 1:
-        raise ValueError("t must be positive")
+        raise argparse.ArgumentTypeError("t must be positive")
     return (t,)
 
 
@@ -38,12 +39,16 @@ def _parse_box(value: str):
         return None
     parts = value.split(",")
     if len(parts) != 4:
-        raise ValueError("box must be 'auto' or RE_MIN,RE_MAX,IM_MIN,IM_MAX")
-    re_min, re_max, im_min, im_max = values = [float(p) for p in parts]
+        raise argparse.ArgumentTypeError("box must be 'auto' or RE_MIN,RE_MAX,IM_MIN,IM_MAX")
+    try:
+        re_min, re_max, im_min, im_max = values = [float(p) for p in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"box {value} has a bound that is not a number") from None
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"box {value} has a non-finite bound")
+        raise argparse.ArgumentTypeError(f"box {value} has a non-finite bound")
     if not (re_min < re_max and im_min < im_max):
-        raise ValueError("box must satisfy RE_MIN < RE_MAX and IM_MIN < IM_MAX")
+        raise argparse.ArgumentTypeError(
+            "box must satisfy RE_MIN < RE_MAX and IM_MIN < IM_MAX")
     return re_min, re_max, im_min, im_max
 
 
@@ -84,19 +89,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gershgorin(args) -> int:
-    mat = read_matrix_file(args.input)
-    grid = eval_grid(mat, args.box, args.nx, args.ny, args.norm)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    grid.write_csv(out / "grid.csv")
-    summary = compare_regions(grid)
-    write_json_file(out / "region_summary.json", {
-        **summary.to_json_dict(),
-        "box": [grid.re_min, grid.re_max, grid.im_min, grid.im_max],
-        "nx": grid.nx, "ny": grid.ny, "norm": args.norm.value})
+    chain = run_region_chain(read_matrix_file(args.input), args.norm, Path(args.output),
+                             args.box, args.nx, args.ny, None)
+    summary = chain.summary
     print(f"union nodes: new={summary.union_count_new} fv={summary.union_count_fv} "
           f"violations={summary.containment_violations}")
-    print(f"wrote {out / 'grid.csv'} and {out / 'region_summary.json'}")
+    print(f"wrote {chain.artifacts['grid']} and {chain.artifacts['region_summary']}")
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import BoundsReport, TauOmegaTable, compute_bounds, compute_tau_omega
 from .dominance import DominanceReport, check_row_block_dominance
-from .gershgorin import compare_regions, eval_grid
+from .gershgorin import ComparisonSummary, RegionGrid, compare_regions, eval_grid
 from .inverse import assemble_inverse, condition_estimate, ikebe_factors, residual
 from .kernels import NormKind, eigenvalues_small
 from .matrixio import write_json_file, write_matrix_file
@@ -331,18 +331,63 @@ def _run_bounds_family(spec: ExperimentSpec, out: Path,
             result.passed = False
 
 
+@dataclass(frozen=True)
+class RegionChain:
+    """What run_region_chain computed and wrote."""
+
+    grid: RegionGrid
+    summary: ComparisonSummary
+    eigen_cover: list[dict] | None
+    artifacts: dict[str, Path]
+
+
+def run_region_chain(g, kind: NormKind, out: Path,
+                     box: tuple[float, float, float, float] | None, nx: int, ny: int,
+                     reference: tuple[float, ...] | None) -> RegionChain:
+    """The region comparison on one matrix: both margins on the node grid
+    and their node counts, written to grid.csv and region_summary.json.
+
+    With ``reference`` eigenvalues, the computed eigenvalue nearest each
+    one is located on the grid, and its largest new-set margin over the
+    rows goes into ``eigen_cover`` and the summary.
+    """
+    grid = eval_grid(g, box, nx, ny, kind)
+    summary = compare_regions(grid)
+    doc = summary.to_json_dict()
+    cover = None
+    if reference is not None:
+        eigs = eigenvalues_small(g.to_dense())
+        res, ims = grid.re_values(), grid.im_values()
+        cover = doc["eigen_cover"] = []
+        for lam_ref in reference:
+            lam = eigs[np.argmin(np.abs(eigs - lam_ref))]
+            ix = int(np.argmin(np.abs(res - lam.real)))
+            iy = int(np.argmin(np.abs(ims - lam.imag)))
+            cover.append({"eigenvalue": lam,
+                          "margin_new": float(grid.margins_new[:, iy, ix].max())})
+
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts = {"grid": out / "grid.csv", "region_summary": out / "region_summary.json"}
+    grid.write_csv(artifacts["grid"])
+    write_json_file(artifacts["region_summary"], {
+        **doc, "box": [grid.re_min, grid.re_max, grid.im_min, grid.im_max],
+        "nx": grid.nx, "ny": grid.ny, "norm": kind.value})
+    return RegionChain(grid, summary, cover, artifacts)
+
+
 def _run_region_family(spec: ExperimentSpec, out: Path,
                        result: ExperimentResult) -> None:
     g = build_example(spec.exp_id)
     write_matrix_file(out / "matrix.json", g)
     result.artifacts["matrix"] = out / "matrix.json"
 
-    grid = eval_grid(g, spec.box, spec.nx, spec.ny, spec.norm)
-    grid.write_csv(out / "grid.csv")
-    result.artifacts["grid"] = out / "grid.csv"
-    summary = compare_regions(grid)
-    result.metrics["grid"] = grid
+    chain = run_region_chain(g, spec.norm, out, spec.box, spec.nx, spec.ny,
+                             REFERENCE_EIGENVALUES[spec.exp_id])
+    result.artifacts.update(chain.artifacts)
+    summary = chain.summary
+    result.metrics["grid"] = chain.grid
     result.metrics["summary"] = summary
+    result.metrics["eigen_cover"] = chain.eigen_cover
 
     if summary.containment_violations == 0:
         result.messages.append("PASS: new regions contained in fv regions at every node")
@@ -361,19 +406,7 @@ def _run_region_family(spec: ExperimentSpec, out: Path,
             f"{summary.union_count_fv} nodes)")
         result.passed = False
 
-    eigs = eigenvalues_small(g.to_dense())
-    res = grid.re_values()
-    ims = grid.im_values()
-    cover = []
-    worst = np.inf
-    for lam_ref in REFERENCE_EIGENVALUES[spec.exp_id]:
-        lam = eigs[np.argmin(np.abs(eigs - lam_ref))]
-        ix = int(np.argmin(np.abs(res - lam.real)))
-        iy = int(np.argmin(np.abs(ims - lam.imag)))
-        margin = float(grid.margins_new[:, iy, ix].max())
-        cover.append({"eigenvalue": lam, "margin_new": margin})
-        worst = min(worst, margin)
-    result.metrics["eigen_cover"] = cover
+    worst = min(c["margin_new"] for c in chain.eigen_cover)
     if worst >= 1.0 - EIGEN_COVER_SLACK:
         result.messages.append(
             f"PASS: every eigenvalue covered (worst margin {worst:.6f})")
@@ -381,13 +414,6 @@ def _run_region_family(spec: ExperimentSpec, out: Path,
         result.messages.append(
             f"FAIL: eigenvalue escapes the new union (margin {worst:.6f})")
         result.passed = False
-
-    write_json_file(out / "region_summary.json", {
-        **summary.to_json_dict(),
-        "eigen_cover": cover,
-        "box": [grid.re_min, grid.re_max, grid.im_min, grid.im_max],
-        "nx": grid.nx, "ny": grid.ny, "norm": spec.norm.value})
-    result.artifacts["region_summary"] = out / "region_summary.json"
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:

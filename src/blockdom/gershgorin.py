@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import NormKind, batch_norm, eigenvalues_small, norm, singular_mask
+from .matrixio import fill_floats
 from .structures import block_rows
 
 
@@ -80,21 +81,20 @@ class RegionGrid:
         return self.margins_fv >= 1.0
 
     def write_csv(self, path) -> None:
-        def fmt(v: float) -> str:
-            return "inf" if np.isinf(v) else "%.17g" % v
-
-        res = self.re_values()
-        ims = self.im_values()
-        lines = ["re,im,row,margin_new,margin_fv"]
-        for iy in range(self.ny):
-            for ix in range(self.nx):
-                for i in range(self.rows):
-                    lines.append("%s,%s,%d,%s,%s" % (
-                        fmt(res[ix]), fmt(ims[iy]), i + 1,
-                        fmt(self.margins_new[i, iy, ix]),
-                        fmt(self.margins_fv[i, iy, ix])))
+        """One line per node and block row, node-major in (im, re) order,
+        streamed one grid row (fixed im) at a time."""
+        res = fill_floats("%.17g\n" * self.nx, self.re_values()).split()
+        ims = fill_floats("%.17g\n" * self.ny, self.im_values()).split()
+        # The re and row columns repeat on every grid row: bake them into
+        # one template and fill in the im text and the margins per row.
+        line = "".join(f"{re},{{im}},{i},%.17g,%.17g\n"
+                       for re in res for i in range(1, self.rows + 1))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("re,im,row,margin_new,margin_fv\n")
+            for iy, im in enumerate(ims):
+                pairs = np.stack([self.margins_new[:, iy].T,
+                                  self.margins_fv[:, iy].T], axis=-1)
+                fh.write(fill_floats(line.replace("{im}", im), pairs))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""JSON serialization of block matrices.
+"""JSON serialization of block matrices, and the float text of the CSV
+artifacts.
 
 File layout (schema_version "1"):
 
@@ -107,6 +108,17 @@ class MatrixFileError(ValueError):
 
 def _fmt(v: float) -> str:
     return "%.17g" % v
+
+
+def fill_floats(template: str, values) -> str:
+    """``template`` with its ``%.17g`` slots filled, in order, from the
+    flattened ``values``; either infinity is written "inf" and NaN "nan".
+
+    One ``%`` over Python floats: the CSV writers bake their fixed
+    columns into the template and pass the float columns here.
+    """
+    x = np.asarray(values, dtype=float)
+    return template % tuple(np.where(np.isinf(x), np.inf, x).ravel().tolist())
 
 
 def _block_json(block: np.ndarray) -> str:

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from blockdom import (DominanceViolation, NormKind, SingularError, batch_norm,
-                      build_example, compute_bounds, compute_chains, compute_tau_omega,
+from blockdom import (BoundsReport, DominanceViolation, NormKind, SingularError,
+                      batch_norm, build_example, compute_bounds, compute_chains, compute_tau_omega,
                       decay_envelope, identity_norm, ikebe_factors,
                       invert_block_tridiagonal, solve_blocks)
 
@@ -271,6 +271,73 @@ class TestLoopReference:
                            rep.e_upper, rep.e_lower)
                     for x, y in zip(got, loop_bounds(a, zz, table, t, anchored)):
                         assert (x is None and y is None) or x.tobytes() == y.tobytes()
+
+
+def loop_bounds_csv(rep):
+    """The per-cell loop BoundsReport.write_csv replaced, as text."""
+    def fmt(v: float) -> str:
+        if np.isnan(v):
+            return "nan"
+        if np.isinf(v):
+            return "inf"
+        return "%.17g" % v
+
+    lines = ["i,j,norm_Zij,u_ij,valid,E_u"]
+    for i in range(rep.n):
+        for j in range(rep.n):
+            nz = float(rep.z_norms[i, j]) if rep.z_norms is not None else float("nan")
+            eu = float(rep.e_upper[i, j]) if rep.e_upper is not None else float("nan")
+            valid = 1 if np.isfinite(rep.upper[i, j]) else 0
+            lines.append("%d,%d,%s,%s,%d,%s" % (
+                i + 1, j + 1, fmt(nz), fmt(rep.upper[i, j]), valid, fmt(eu)))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvLoopReference:
+    """bounds_t<T>.csv is byte for byte what the per-cell loop wrote."""
+
+    def assert_same_bytes(self, rep, tmp_path):
+        p = tmp_path / "bounds.csv"
+        rep.write_csv(p)
+        assert p.read_bytes() == loop_bounds_csv(rep).encode()
+
+    def test_every_norm_step_and_anchor(self, tmp_path):
+        rng = np.random.default_rng(29)
+        for k, kind in enumerate(ALL_KINDS):
+            a = random_dominant_tridiag(rng, 4 + k, 1 + k % 3, kind)
+            z = invert_block_tridiagonal(a)
+            table = compute_tau_omega(a, kind)
+            for t in range(1, table.t_max + 1):
+                for anchored, zz in ((True, z), (False, z), (False, None)):
+                    self.assert_same_bytes(
+                        compute_bounds(a, zz, table, t, anchor_from_inverse=anchored),
+                        tmp_path)
+
+    def test_invalid_diagonal(self, tmp_path):
+        a = scalar_tridiag(5, -1.0, 2.0, -1.0)
+        z = invert_block_tridiagonal(a)
+        table = compute_tau_omega(a, NormKind.TWO, 4)
+        for zz in (z, None):
+            rep = compute_bounds(a, zz, table, 1, anchor_from_inverse=zz is not None)
+            assert not rep.diag_upper_valid.all()
+            self.assert_same_bytes(rep, tmp_path)
+        assert "3,3,nan,inf,0,nan" in (tmp_path / "bounds.csv").read_text()
+
+    def test_negative_infinity_prints_inf(self, tmp_path):
+        upper = np.array([[-np.inf, 0.25], [np.nan, -0.0]])
+        rep = BoundsReport(
+            t=1, norm_kind=NormKind.TWO, upper=upper, lower=np.ones(2),
+            diag_upper_valid=np.array([False, True]),
+            z_norms=np.array([[np.inf, 1e-300], [-np.inf, 0.1]]),
+            e_upper=np.array([[np.nan, -np.inf], [2.0, 1.0 / 3.0]]),
+            e_lower=None, max_eu=None, max_el=None, rho1=0.5, rho2=0.5,
+            anchored_on_inverse=True)
+        self.assert_same_bytes(rep, tmp_path)
+        assert (tmp_path / "bounds.csv").read_text().splitlines()[1:] == [
+            "1,1,inf,inf,0,nan",
+            "1,2,1e-300,0.25,1,inf",
+            "2,1,inf,nan,0,2",
+            "2,2,0.10000000000000001,-0,1,0.33333333333333331"]
 
 
 class TestComputeBoundsLaplacian:

@@ -166,6 +166,14 @@ class TestBounds:
                      "--output", str(tmp_path / "o"), "--t", "9"]) == 1
         assert "exceeds" in capsys.readouterr().err
 
+    def test_step_not_positive(self, laplacian_file, tmp_path, capsys):
+        for step, text in (("0", "t must be positive"),
+                           ("abc", "t must be 'all' or an integer, not 'abc'")):
+            assert main(["bounds", "--input", str(laplacian_file),
+                         "--output", str(tmp_path / "o"), "--t", step]) == 1
+            assert text in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_not_dominant_refused(self, tmp_path, capsys):
         p = write_scalar(tmp_path, "m.json", -2.0, 1.0, -2.0)
         assert main(["bounds", "--input", str(p),
@@ -200,6 +208,11 @@ class TestGershgorin:
         p = tmp_path / "g.json"
         write_matrix_file(p, build_example("ex3.1a"))
         assert main(["gershgorin", "--input", str(p), "--box", "1,2,3"]) == 1
+        assert "RE_MIN,RE_MAX,IM_MIN,IM_MAX" in capsys.readouterr().err
+        assert main(["gershgorin", "--input", str(p), "--box=1,0,-1,1"]) == 1
+        assert "RE_MIN < RE_MAX" in capsys.readouterr().err
+        assert main(["gershgorin", "--input", str(p), "--box=1,a,-1,1"]) == 1
+        assert "box 1,a,-1,1 has a bound that is not a number" in capsys.readouterr().err
 
     def test_non_finite_box(self, tmp_path, capsys):
         p = tmp_path / "g.json"
@@ -207,7 +220,7 @@ class TestGershgorin:
         assert main(["gershgorin", "--input", str(p), "--output", str(tmp_path / "o"),
                      "--box=-inf,inf,-1,1"]) == 1
         err = capsys.readouterr().err
-        assert "-inf,inf,-1,1" in err and "SVD" not in err
+        assert "box -inf,inf,-1,1 has a non-finite bound" in err and "SVD" not in err
         assert not (tmp_path / "o").exists()
 
     def test_bad_thread_count(self, tmp_path, capsys, monkeypatch):
@@ -273,8 +286,8 @@ class TestReproduce:
 
 
 class TestSharedPipeline:
-    """The CLI commands and the experiments run one bounds pipeline, so
-    on the same matrix they write the same bytes."""
+    """The CLI commands and the experiments run one bounds pipeline and
+    one region pipeline, so on the same matrix they write the same bytes."""
 
     def test_bounds_match_reproduce(self, laplacian_file, tmp_path):
         cli, exp = tmp_path / "cli", tmp_path / "exp"
@@ -286,6 +299,21 @@ class TestSharedPipeline:
                                + ["bounds_summary.json"])
         match, mismatch, errors = filecmp.cmpfiles(cli, exp, names, shallow=False)
         assert mismatch == [] and errors == []
+
+    def test_gershgorin_matches_reproduce(self, tmp_path):
+        p = tmp_path / "g.json"
+        write_matrix_file(p, build_example("ex3.1a"))
+        cli, exp = tmp_path / "cli", tmp_path / "exp"
+        grid = ["--box=-1,9,-4,4", "--nx", "61", "--ny", "41"]
+        assert main(["gershgorin", "--input", str(p), "--output", str(cli), *grid]) == 0
+        assert main(["reproduce", "ex3.1a", "--output", str(exp), *grid]) == 0
+        assert sorted(q.name for q in cli.iterdir()) == ["grid.csv", "region_summary.json"]
+        assert filecmp.cmp(cli / "grid.csv", exp / "grid.csv", shallow=False)
+        # The experiment's summary adds only its eigenvalue cover.
+        ours = json.loads((cli / "region_summary.json").read_text())
+        theirs = json.loads((exp / "region_summary.json").read_text())
+        assert len(theirs.pop("eigen_cover")) == 4
+        assert list(ours.items()) == list(theirs.items())
 
     def test_invert_matches_reproduce(self, laplacian_file, tmp_path):
         cli, exp = tmp_path / "cli", tmp_path / "exp"

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from blockdom import (GeneralBlockMatrix, NormKind, auto_box, block_rows,
+from blockdom import (GeneralBlockMatrix, NormKind, RegionGrid, auto_box, block_rows,
                       build_example, compare_regions, eval_grid, margins_at, norm)
 from blockdom.gershgorin import _row_margins, worker_count
 
@@ -222,6 +222,66 @@ class TestEvalGrid:
         # node-outer, row-inner ordering
         assert lines[2].split(",")[2] == "2"
         assert lines[3].split(",")[:3] == ["0.5", "-1", "1"]
+
+
+def loop_grid_csv(grid):
+    """The per-cell loop RegionGrid.write_csv replaced, as text."""
+    def fmt(v: float) -> str:
+        return "inf" if np.isinf(v) else "%.17g" % v
+
+    res = grid.re_values()
+    ims = grid.im_values()
+    lines = ["re,im,row,margin_new,margin_fv"]
+    for iy in range(grid.ny):
+        for ix in range(grid.nx):
+            for i in range(grid.rows):
+                lines.append("%s,%s,%d,%s,%s" % (
+                    fmt(res[ix]), fmt(ims[iy]), i + 1,
+                    fmt(grid.margins_new[i, iy, ix]),
+                    fmt(grid.margins_fv[i, iy, ix])))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvLoopReference:
+    """grid.csv is byte for byte what the per-cell loop wrote."""
+
+    def assert_same_bytes(self, grid, tmp_path):
+        p = tmp_path / "grid.csv"
+        grid.write_csv(p)
+        assert p.read_bytes() == loop_grid_csv(grid).encode()
+
+    def test_singular_nodes_in_every_norm(self, tmp_path):
+        # The integer nodes 2 and 6 are eigenvalues of ex3.1a's diagonal
+        # blocks, so their margins are inf.
+        for kind in ALL_KINDS:
+            grid = eval_grid(build_example("ex3.1a"), (-1.0, 9.0, -4.0, 4.0), 11, 9, kind)
+            assert np.isinf(grid.margins_new).any()
+            self.assert_same_bytes(grid, tmp_path)
+
+    def test_scalar_blocks(self, tmp_path):
+        grid = eval_grid(scalar_tridiag(4, -1.0, 2.0, -0.5), (0.0, 4.0, -1.0, 1.0),
+                         9, 5, NormKind.ONE)
+        assert np.isinf(grid.margins_fv).any()
+        self.assert_same_bytes(grid, tmp_path)
+
+    def test_threaded_and_random(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BLOCKDOM_THREADS", "2")
+        rng = np.random.default_rng(72)
+        for kind in ALL_KINDS:
+            a = random_general(rng, 3, 2)
+            self.assert_same_bytes(eval_grid(a, None, 13, 7, kind), tmp_path)
+
+    def test_negative_infinity_prints_inf(self, tmp_path):
+        margins = np.array([[[0.5, -np.inf], [np.nan, np.inf]]])
+        grid = RegionGrid(re_min=-0.1, re_max=1e-300, im_min=-3.0, im_max=2.5,
+                          nx=2, ny=2, norm_kind=NormKind.TWO,
+                          margins_new=margins, margins_fv=-margins)
+        self.assert_same_bytes(grid, tmp_path)
+        assert (tmp_path / "grid.csv").read_text().splitlines()[1:] == [
+            "-0.10000000000000001,-3,1,0.5,-0.5",
+            "1e-300,-3,1,inf,inf",
+            "-0.10000000000000001,2.5,1,nan,nan",
+            "1e-300,2.5,1,inf,inf"]
 
 
 class TestCompareRegions:
