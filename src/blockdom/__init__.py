@@ -13,11 +13,10 @@ from .gershgorin import (ComparisonSummary, RegionGrid, RegionQuery, auto_box,
                          compare_regions, eval_grid, margins_at)
 from .inverse import (MAX_BLOCK_MAGNITUDE, BlockInverse, InverseFactors,
                       RecurrenceOverflowError, assemble_inverse,
-                      condition_estimate, ikebe_factors,
+                      condition_estimate, diag_residual, ikebe_factors,
                       invert_block_tridiagonal, residual)
-from .kernels import (ConvergenceError, LUFactors, NormKind, SingularError,
-                      batch_norm, eigenvalues_small, identity_norm, invert,
-                      lu_factor, lu_solve, norm, solve_blocks)
+from .kernels import (ConvergenceError, NormKind, SingularError, batch_norm,
+                      eigenvalues_small, identity_norm, norm, solve_blocks)
 from .matrixio import (MatrixFileError, dump_json_text, read_matrix_file,
                        write_json_file, write_matrix_file)
 from .structures import (BlockTridiagonalMatrix, GeneralBlockMatrix,

@@ -17,13 +17,17 @@ row i at index i-1 and step t at index t-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .inverse import BlockInverse
+from .dominance import diag_solves
 from .kernels import NormKind, batch_norm, identity_norm, solve_blocks
 from .matrixio import fill_floats
-from .structures import BlockTridiagonalMatrix, block_rows
+from .structures import BlockTridiagonalMatrix
+
+if TYPE_CHECKING:
+    from .inverse import BlockInverse
 
 
 class DominanceViolation(ValueError):
@@ -90,22 +94,15 @@ def _ratio(num: float, den: float, row: int, step: int, which: str) -> float:
     return num / den
 
 
-def _diag_solves(a: BlockTridiagonalMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, m, m) stacks A_i^{-1} C_{i-1}, A_i^{-1} B_i (zero for the absent
-    C_0 and B_n) and A_i^{-1}, from one stacked solve over the diagonal."""
-    diag, offs = block_rows(a)
-    eye = np.broadcast_to(np.eye(a.m, dtype=np.complex128), (a.n, 1, a.m, a.m))
-    x = solve_blocks(diag[:, None], np.concatenate([offs, eye], axis=1))
-    return x[:, 0], x[:, 1], x[:, 2]
-
-
 def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
-                      t_max: int | None = None) -> TauOmegaTable:
+                      t_max: int | None = None,
+                      solves: np.ndarray | None = None) -> TauOmegaTable:
     """Base coefficients (t=1) and their refinements up to t_max.
 
     t_max defaults to n-1 (clamped to at least 1). Raises
     DominanceViolation when a denominator is nonpositive while its
     numerator is nonzero, and SingularError for singular diagonal blocks.
+    ``solves`` is ``diag_solves(a)`` when the caller has it already.
     """
     n = a.n
     if t_max is None:
@@ -115,9 +112,8 @@ def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
 
     # nab[i-1] = ||A_i^{-1} B_i||  (zero for i = n),
     # nac[i-1] = ||A_i^{-1} C_{i-1}||  (zero for i = 1).
-    ac, ab, inv = _diag_solves(a)
-    nab = batch_norm(ab, kind)
-    nac = batch_norm(ac, kind)
+    norms = batch_norm(diag_solves(a) if solves is None else solves, kind)
+    nac, nab, inv_norms = norms[:, 0], norms[:, 1], norms[:, 2]
 
     tau = np.zeros((n, t_max))
     omega = np.zeros((n, t_max))
@@ -140,7 +136,7 @@ def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
                     nac[i - 1], 1.0 - nab[i - 1] * nxt, i, t, "omega")
     return TauOmegaTable(
         norm_kind=kind, tau=tau, omega=omega,
-        diag_norms=batch_norm(a.diag, kind), inv_diag_norms=batch_norm(inv, kind),
+        diag_norms=batch_norm(a.diag, kind), inv_diag_norms=inv_norms,
         sup_norms=batch_norm(a.sup, kind), sub_norms=batch_norm(a.sub, kind))
 
 
@@ -148,63 +144,51 @@ def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
 class ChainFactors:
     """Matrix chains whose norms the tau/omega coefficients bound.
 
-    l_blocks[k] holds L_{k+1} and t_blocks[k] holds T_{k+1} for
-    k = 0..n-2; m_blocks[k] holds M_{k+2} and w_blocks[k] holds W_{k+2}.
+    l_blocks[k] holds L_{k+1} for k = 0..n-2 and m_blocks[k] holds M_{k+2}.
     """
 
     l_blocks: np.ndarray
-    t_blocks: np.ndarray
     m_blocks: np.ndarray
-    w_blocks: np.ndarray
 
     def L(self, i: int) -> np.ndarray:
         return self.l_blocks[i - 1]
 
-    def T(self, i: int) -> np.ndarray:
-        return self.t_blocks[i - 1]
-
     def M(self, i: int) -> np.ndarray:
         return self.m_blocks[i - 2]
 
-    def W(self, i: int) -> np.ndarray:
-        return self.w_blocks[i - 2]
 
-
-def compute_chains(a: BlockTridiagonalMatrix) -> ChainFactors:
+def compute_chains(a: BlockTridiagonalMatrix,
+                   solves: np.ndarray | None = None) -> ChainFactors:
     """Forward chain L_i (i = 1..n-1) and backward chain M_i (i = 2..n).
 
-    L_1 = T_1 = A_1^{-1} B_1, then T_i = I - A_i^{-1} C_{i-1} L_{i-1} and
-    L_i = T_i^{-1} A_i^{-1} B_i; the M/W chain mirrors this from row n.
-    The inverse factor sequences satisfy U_i = -L_i U_{i+1} and
-    Y_i = -M_i Y_{i-1}.
+    L_1 = A_1^{-1} B_1 and L_i = T_i^{-1} A_i^{-1} B_i with
+    T_i = I - A_i^{-1} C_{i-1} L_{i-1}; the M chain mirrors this from
+    M_n = A_n^{-1} C_{n-1} with W_i = I - A_i^{-1} B_i M_{i+1}. A singular
+    T_i or W_i raises SingularError naming it. The blocks of the inverse
+    satisfy Z_ij = -L_i Z_{i+1,j} for i < j and Z_ij = -M_i Z_{i-1,j} for
+    i > j. ``solves`` is ``diag_solves(a)`` when the caller has it already.
     """
     n, m = a.n, a.m
     eye = np.eye(m, dtype=np.complex128)
     if n == 1:
         empty = np.zeros((0, m, m), dtype=np.complex128)
-        return ChainFactors(empty, empty, empty, empty)
+        return ChainFactors(empty, empty)
 
     # ac[i-1] = A_i^{-1} C_{i-1} and ab[i-1] = A_i^{-1} B_i.
-    ac, ab, _ = _diag_solves(a)
+    x = diag_solves(a) if solves is None else solves
+    ac, ab = x[:, 0], x[:, 1]
 
-    l = [None] * (n - 1)
-    t = [None] * (n - 1)
+    l = np.empty((n - 1, m, m), dtype=np.complex128)
     l[0] = ab[0]
-    t[0] = ab[0]
     for i in range(2, n):
-        t[i - 1] = eye - ac[i - 1] @ l[i - 2]
-        l[i - 1] = solve_blocks(t[i - 1], ab[i - 1], "T", i)
+        l[i - 1] = solve_blocks(eye - ac[i - 1] @ l[i - 2], ab[i - 1], "T", i)
 
-    mm = [None] * (n - 1)
-    w = [None] * (n - 1)
+    mm = np.empty((n - 1, m, m), dtype=np.complex128)
     mm[n - 2] = ac[n - 1]
-    w[n - 2] = ac[n - 1]
     for i in range(n - 1, 1, -1):
-        w[i - 2] = eye - ab[i - 1] @ mm[i - 1]
-        mm[i - 2] = solve_blocks(w[i - 2], ac[i - 1], "W", i)
+        mm[i - 2] = solve_blocks(eye - ab[i - 1] @ mm[i - 1], ac[i - 1], "W", i)
 
-    return ChainFactors(l_blocks=np.asarray(l), t_blocks=np.asarray(t),
-                        m_blocks=np.asarray(mm), w_blocks=np.asarray(w))
+    return ChainFactors(l_blocks=l, m_blocks=mm)
 
 
 @dataclass(frozen=True)

@@ -57,19 +57,37 @@ class Inconclusive:
     reason: str
 
 
-def check_row_block_dominance(a, kind: NormKind) -> DominanceReport:
-    """Evaluate both dominance conditions for all block rows at once."""
+def diag_solves(a) -> np.ndarray:
+    """The (n, k+1, m, m) stack A_ii^{-1}[off-diagonal blocks of row i, I],
+    with the row's blocks as ``block_rows`` splits them, from one stacked
+    solve. Raises SingularError naming the first singular A_i."""
     diag, offs = block_rows(a)
-    singular = singular_mask(np.linalg.svd(diag, compute_uv=False))
+    return _solve_rows(diag, offs)
+
+
+def _solve_rows(diag: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    eye = np.broadcast_to(np.eye(diag.shape[-1], dtype=np.complex128),
+                          (diag.shape[0], 1) + diag.shape[1:])
+    return solve_blocks(diag[:, None], np.concatenate([offs, eye], axis=1))
+
+
+def check_row_block_dominance(a, kind: NormKind,
+                              solves: np.ndarray | None = None) -> DominanceReport:
+    """Evaluate both dominance conditions for all block rows at once.
+
+    ``solves`` is ``diag_solves(a)`` when the caller has it already; a
+    matrix with a singular diagonal block has none, and without it the
+    singular rows are recorded here rather than raised.
+    """
+    diag, offs = block_rows(a)
+    singular = (np.zeros(a.n, dtype=bool) if solves is not None
+                else singular_mask(np.linalg.svd(diag, compute_uv=False)))
     ok = ~singular
     row_sums = np.full(a.n, np.inf)
     fv_margins = np.full(a.n, np.inf)
     if ok.any():
-        # One stacked solve per row against its off-diagonal blocks and I;
-        # the last column of norms is ||A_ii^{-1}||.
-        eye = np.broadcast_to(np.eye(a.m, dtype=np.complex128), (int(ok.sum()), 1, a.m, a.m))
-        norms = batch_norm(
-            solve_blocks(diag[ok][:, None], np.concatenate([offs[ok], eye], axis=1)), kind)
+        # The last column of norms is ||A_ii^{-1}||.
+        norms = batch_norm(_solve_rows(diag[ok], offs[ok]) if solves is None else solves, kind)
         row_sums[ok] = norms[:, :-1].sum(axis=1)
         fv_margins[ok] = batch_norm(offs[ok], kind).sum(axis=1) - 1.0 / norms[:, -1]
     nonsingular = not singular.any()

@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundsReport, TauOmegaTable, compute_bounds, compute_tau_omega
-from .dominance import DominanceReport, check_row_block_dominance
+from .dominance import DominanceReport, check_row_block_dominance, diag_solves
 from .gershgorin import ComparisonSummary, RegionGrid, compare_regions, eval_grid
-from .inverse import assemble_inverse, condition_estimate, ikebe_factors, residual
-from .kernels import NormKind, eigenvalues_small
+from .inverse import condition_estimate, diag_residual, invert_block_tridiagonal, residual
+from .kernels import NormKind, SingularError, eigenvalues_small
 from .matrixio import write_json_file, write_matrix_file
 from .structures import (BlockTridiagonalMatrix, GeneralBlockMatrix,
                          block_tridiag_from_stencils, build_random_diag,
@@ -232,24 +232,31 @@ def run_bounds_chain(a: BlockTridiagonalMatrix, kind: NormKind, out: Path,
     Without row block dominance there are no bounds, and only "matrix"
     and "dominance" are written. ``t_values`` are the steps (None: all of
     1..n-1); one past n-1 raises ValueError before anything is written.
+    The diagonal blocks are solved once, for every stage.
     """
     chain = BoundsChain()
+    try:
+        solves = diag_solves(a)
+    except SingularError:
+        # The dominance report records the singular rows; the inverse,
+        # if it runs, raises.
+        solves = None
     if "dominance" in write or "bounds" in write:
-        chain.dominance = check_row_block_dominance(a, kind)
+        chain.dominance = check_row_block_dominance(a, kind, solves)
         if "bounds" in write and not chain.dominance.dominant:
             write = tuple(name for name in write if name in ("matrix", "dominance"))
     if "bounds" in write:
         t_max = max(1, a.n - 1)
-        chain.table = compute_tau_omega(a, kind, t_max)
+        chain.table = compute_tau_omega(a, kind, t_max, solves)
         t_values = t_values or tuple(range(1, t_max + 1))
         if max(t_values) > t_max:
             raise ValueError(f"t={max(t_values)} exceeds the refinement range 1..{t_max}")
     if {"inverse", "residual", "bounds"} & set(write):
-        z = assemble_inverse(ikebe_factors(a))
+        z = invert_block_tridiagonal(a, solves)
     if "residual" in write:
         chain.residual = {"norm": kind.value, "residual": residual(a, z, kind),
                           "condition_estimate": condition_estimate(a, z, kind),
-                          "diag_consistency": z.diag_consistency}
+                          "diag_residual": diag_residual(a, z, kind)}
     if "bounds" in write:
         chain.reports = {t: compute_bounds(a, z, chain.table, t) for t in sorted(t_values)}
 

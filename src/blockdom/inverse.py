@@ -1,14 +1,19 @@
-"""Exact inversion of block tridiagonal matrices via four block sequences.
+"""Exact inversion of block tridiagonal matrices.
 
-With nonsingular off-diagonal blocks, the inverse Z of a block
-tridiagonal matrix satisfies Z_ij = U_i V_j for i <= j and Z_ij = Y_i X_j
-for i >= j, where the four sequences follow three-term recurrences driven
-only by the matrix blocks. Diagonal blocks are assembled as U_i V_i and
-cross-checked against Y_i X_i.
+``invert_block_tridiagonal`` builds the inverse Z from the chains L_i and
+M_i of ``bounds.compute_chains`` (Meurant, SIAM J. Matrix Anal. Appl. 13,
+1992): Z_ii is the inverse of the Schur complement
+S_i = A_i - C_{i-1} L_{i-1} - B_i M_{i+1}, and Z_ij = -L_i Z_{i+1,j} above
+the diagonal, Z_ij = -M_i Z_{i-1,j} below it. Under row block dominance
+||L_i|| <= tau_i < 1 and ||M_i|| <= omega_i < 1, so nothing grows. It needs
+nonsingular diagonal blocks A_i, chain matrices T_i, W_i and Schur
+complements S_i, and names the first singular one.
 
-Sequence magnitudes can grow geometrically when the matrix is far from
-block diagonally dominant; growth beyond MAX_BLOCK_MAGNITUDE aborts with
-a diagnostic naming the offending step.
+``ikebe_factors`` and ``assemble_inverse`` are the classical four-sequence
+form, Z_ij = U_i V_j for i <= j and Z_ij = Y_i X_j for i >= j, kept as a
+public reference: it inverts the off-diagonal blocks, and its iterates
+grow geometrically with n, so no production path uses it. Growth beyond
+MAX_BLOCK_MAGNITUDE aborts with a diagnostic naming the offending step.
 """
 from __future__ import annotations
 
@@ -16,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import NormKind, batch_norm, invert, norm
+from .bounds import compute_chains
+from .dominance import diag_solves
+from .kernels import NormKind, batch_norm, norm, solve_blocks
 from .structures import BlockTridiagonalMatrix, GeneralBlockMatrix
 
 MAX_BLOCK_MAGNITUDE = 1e150
@@ -55,13 +62,14 @@ class InverseFactors:
 class BlockInverse:
     """Assembled inverse as an (n, n, m, m) block grid.
 
-    ``diag_consistency`` is the largest entrywise difference between the
-    two diagonal representations U_i V_i and Y_i X_i, relative to the
-    largest diagonal-block entry.
+    ``diag_consistency`` is set by ``assemble_inverse`` only: the largest
+    entrywise difference between the two diagonal representations U_i V_i
+    and Y_i X_i, relative to the largest diagonal-block entry. The chain
+    inverse has one representation and leaves it None.
     """
 
     blocks: np.ndarray
-    diag_consistency: float
+    diag_consistency: float | None = None
 
     @property
     def n(self) -> int:
@@ -108,13 +116,13 @@ def ikebe_factors(a: BlockTridiagonalMatrix) -> InverseFactors:
     n, m = a.n, a.m
     eye = np.eye(m, dtype=np.complex128)
     if n == 1:
-        v0 = invert(a.diag[0], context="A_1 inversion")
+        v0 = solve_blocks(a.diag)[0]
         return InverseFactors(u=np.asarray([eye]), v=np.asarray([v0]),
                               x=np.asarray([eye]), y=np.asarray([v0]))
 
     # sup[k] is block B_{k+1}, sub[k] is block C_{k+1} in 1-based terms.
-    sup_inv = [invert(a.sup[k], context=f"B_{k + 1} inversion") for k in range(n - 1)]
-    sub_inv = [invert(a.sub[k], context=f"C_{k + 1} inversion") for k in range(n - 1)]
+    sup_inv = solve_blocks(a.sup, name="B")
+    sub_inv = solve_blocks(a.sub, name="C")
 
     u = [None] * n
     u[0] = eye
@@ -125,7 +133,7 @@ def ikebe_factors(a: BlockTridiagonalMatrix) -> InverseFactors:
 
     v = [None] * n
     seed = a.diag[n - 1] @ u[n - 1] + a.sub[n - 2] @ u[n - 2]
-    v[n - 1] = _guard(invert(seed, context="V_n seed inversion"), "V_n")
+    v[n - 1] = _guard(solve_blocks(seed, name="V_n seed", first=None), "V_n")
     v[n - 2] = _guard(-(v[n - 1] @ a.diag[n - 1]) @ sup_inv[n - 2], f"V_{n - 1}")
     for k in range(n - 3, -1, -1):
         v[k] = _guard(-(v[k + 1] @ a.diag[k + 1] + v[k + 2] @ a.sub[k + 1]) @ sup_inv[k],
@@ -140,7 +148,7 @@ def ikebe_factors(a: BlockTridiagonalMatrix) -> InverseFactors:
 
     y = [None] * n
     seed = x[n - 1] @ a.diag[n - 1] + x[n - 2] @ a.sup[n - 2]
-    y[n - 1] = _guard(invert(seed, context="Y_n seed inversion"), "Y_n")
+    y[n - 1] = _guard(solve_blocks(seed, name="Y_n seed", first=None), "Y_n")
     y[n - 2] = _guard(-sub_inv[n - 2] @ (a.diag[n - 1] @ y[n - 1]), f"Y_{n - 1}")
     for k in range(n - 3, -1, -1):
         y[k] = _guard(-sub_inv[k] @ (a.diag[k + 1] @ y[k + 1] + a.sup[k + 1] @ y[k + 2]),
@@ -169,9 +177,32 @@ def assemble_inverse(factors: InverseFactors) -> BlockInverse:
     return BlockInverse(blocks=z, diag_consistency=rel)
 
 
-def invert_block_tridiagonal(a: BlockTridiagonalMatrix) -> BlockInverse:
-    """Convenience wrapper: run the recurrences and assemble the inverse."""
-    return assemble_inverse(ikebe_factors(a))
+def invert_block_tridiagonal(a: BlockTridiagonalMatrix,
+                             solves: np.ndarray | None = None) -> BlockInverse:
+    """The inverse from the L/M chains: all n Schur complements in one
+    stacked inverse, then one batched product per block row above the
+    diagonal and one per block row below it.
+
+    Raises SingularError naming the first singular A_i, T_i, W_i or S_i,
+    and RecurrenceOverflowError if an entry exceeds MAX_BLOCK_MAGNITUDE.
+    ``solves`` is ``diag_solves(a)`` when the caller has it already.
+    """
+    n, m = a.n, a.m
+    # Solved here even for n = 1, where there is no chain, so that a
+    # singular A_1 is named as such.
+    chains = compute_chains(a, diag_solves(a) if solves is None else solves)
+    l, mm = chains.l_blocks, chains.m_blocks
+    schur = a.diag.copy()
+    schur[1:] -= a.sub @ l
+    schur[:-1] -= a.sup @ mm
+    z = np.zeros((n, n, m, m), dtype=np.complex128)
+    idx = np.arange(n)
+    z[idx, idx] = solve_blocks(schur, name="S")
+    for i in range(n - 2, -1, -1):
+        z[i, i + 1:] = -l[i] @ z[i + 1, i + 1:]
+    for i in range(1, n):
+        z[i, :i] = -mm[i - 1] @ z[i - 1, :i]
+    return BlockInverse(blocks=_guard(z, "Z"))
 
 
 def residual(a: BlockTridiagonalMatrix, z: BlockInverse, kind: NormKind) -> float:
@@ -180,6 +211,16 @@ def residual(a: BlockTridiagonalMatrix, z: BlockInverse, kind: NormKind) -> floa
     dense_z = z.to_dense()
     eye = np.eye(dense_a.shape[0], dtype=np.complex128)
     return norm(dense_z @ dense_a - eye, kind)
+
+
+def diag_residual(a: BlockTridiagonalMatrix, z: BlockInverse, kind: NormKind) -> float:
+    """max_i ||(Z A - I)_ii|| from the blocks alone, where
+    (Z A)_ii = Z_{i,i-1} B_{i-1} + Z_ii A_i + Z_{i,i+1} C_i."""
+    idx = np.arange(a.n)
+    r = z.blocks[idx, idx] @ a.diag - np.eye(a.m, dtype=np.complex128)
+    r[1:] += z.blocks[idx[1:], idx[:-1]] @ a.sup
+    r[:-1] += z.blocks[idx[:-1], idx[1:]] @ a.sub
+    return float(batch_norm(r, kind).max())
 
 
 def condition_estimate(a: BlockTridiagonalMatrix, z: BlockInverse,

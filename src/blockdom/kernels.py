@@ -3,22 +3,15 @@
 Everything here operates on small square complex128 blocks, one at a
 time or stacked as (..., m, m) arrays. Norms and stacked solves are
 single numpy LAPACK calls over the whole stack: ``batch_norm`` is the one
-batched norm, and ``solve_blocks`` the one stacked solve, behind one
-scale-invariant singularity test on the singular values. A singular
-block surfaces as a typed SingularError naming the block.
-
-The pivoted LU (``lu_factor``, ``lu_solve``, ``invert``) is written out
-explicitly and kept for the four-sequence inverse, whose recurrences
-amplify roundoff: its arithmetic is part of that inverse's error budget.
+batched norm, and ``solve_blocks`` the one stacked solve and inverse,
+behind one scale-invariant singularity test on the singular values. A
+singular block surfaces as a typed SingularError naming the block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-DEFAULT_PIVOT_TOL = 1e-13
 
 # A block counts as singular when sigma_min falls at or below this
 # multiple of sigma_max.
@@ -37,12 +30,10 @@ class NormKind(Enum):
 class SingularError(ValueError):
     """A matrix that must be inverted was singular to working precision."""
 
-    def __init__(self, message: str, pivot_index: int | None = None,
-                 context: str | None = None):
+    def __init__(self, message: str, context: str | None = None):
         if context:
             message = f"{message} during {context}"
         super().__init__(message)
-        self.pivot_index = pivot_index
         self.context = context
 
 
@@ -60,90 +51,6 @@ def as_block(a) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("block contains non-finite entries")
     return arr
-
-
-@dataclass(frozen=True)
-class LUFactors:
-    """Compact LU factorization with partial pivoting: P A = L U.
-
-    ``lu`` stores U on and above the diagonal and the unit-lower
-    multipliers strictly below it.  ``perm[k]`` is the original row of A
-    living in row k of the factored matrix.
-    """
-
-    lu: np.ndarray
-    perm: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.lu.shape[0]
-
-    @property
-    def lower(self) -> np.ndarray:
-        l = np.tril(self.lu, -1)
-        np.fill_diagonal(l, 1.0)
-        return l
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.triu(self.lu)
-
-
-def lu_factor(block, pivot_tolerance: float = DEFAULT_PIVOT_TOL,
-              context: str | None = None) -> LUFactors:
-    """Factor a square block as P A = L U with partial pivoting.
-
-    A pivot counts as zero when its magnitude is at most
-    ``pivot_tolerance`` times the largest magnitude in the pivot's
-    original row; that keeps the test scale invariant.
-    """
-    a = as_block(block)
-    m = a.shape[0]
-    lu = a.copy()
-    perm = np.arange(m)
-    row_scale = np.abs(a).max(axis=1)
-    for k in range(m):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv = abs(lu[p, k])
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        if piv <= pivot_tolerance * row_scale[perm[k]]:
-            raise SingularError(
-                f"singular matrix: pivot {k} has magnitude {piv:.3e}",
-                pivot_index=k, context=context)
-        if k + 1 < m:
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return LUFactors(lu=lu, perm=perm)
-
-
-def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
-    """Solve A x = rhs given LUFactors of A. rhs may be a vector or matrix."""
-    b = np.asarray(rhs, dtype=np.complex128)
-    vector = b.ndim == 1
-    if vector:
-        b = b[:, None]
-    if b.shape[0] != factors.m:
-        raise ValueError(f"rhs has {b.shape[0]} rows, expected {factors.m}")
-    lu = factors.lu
-    m = factors.m
-    y = b[factors.perm].copy()
-    for k in range(1, m):
-        y[k] -= lu[k, :k] @ y[:k]
-    for k in range(m - 1, -1, -1):
-        if k + 1 < m:
-            y[k] -= lu[k, k + 1:] @ y[k + 1:]
-        y[k] /= lu[k, k]
-    return y[:, 0] if vector else y
-
-
-def invert(block, pivot_tolerance: float = DEFAULT_PIVOT_TOL,
-           context: str | None = None) -> np.ndarray:
-    """Invert a square block via LU with partial pivoting."""
-    a = as_block(block)
-    factors = lu_factor(a, pivot_tolerance, context=context)
-    return lu_solve(factors, np.eye(a.shape[0], dtype=np.complex128))
 
 
 def batch_norm(stack, kind: NormKind) -> np.ndarray:
@@ -187,19 +94,21 @@ def singular_mask(svals: np.ndarray) -> np.ndarray:
     return svals[..., -1] <= SINGULAR_SHIFT_RTOL * svals[..., 0]
 
 
-def solve_blocks(a, b=None, name: str = "A", first: int = 1) -> np.ndarray:
+def solve_blocks(a, b=None, name: str = "A", first: int | None = 1) -> np.ndarray:
     """A_k^{-1} B_k for every block of the (..., m, m) stack ``a``, or the
     inverses A_k^{-1} when ``b`` is None; one LAPACK call for the stack.
 
     Blocks are numbered from ``first``; if any fails the singularity
-    test, SingularError names the first as "{name}_{k} inversion".
+    test, SingularError names the first as "{name}_{k} inversion", or as
+    "{name} inversion" when ``first`` is None.
     """
     a = np.asarray(a, dtype=np.complex128)
     bad = np.flatnonzero(singular_mask(np.linalg.svd(a, compute_uv=False)))
     if bad.size:
+        label = name if first is None else f"{name}_{first + int(bad[0])}"
         raise SingularError(
             f"singular matrix: sigma_min <= {SINGULAR_SHIFT_RTOL:g} sigma_max",
-            context=f"{name}_{first + int(bad[0])} inversion")
+            context=f"{label} inversion")
     return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
 
 
@@ -243,7 +152,7 @@ def eigenvalues_small(block, max_iter: int = 100) -> np.ndarray:
         refined = False
         for _ in range(max_iter):
             try:
-                v = lu_solve(lu_factor(shift), v)
+                v = solve_blocks(shift, v)
             except SingularError:
                 # Shifted matrix numerically singular: nudge off the
                 # eigenvalue by one unit of scale roundoff.

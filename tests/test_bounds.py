@@ -110,9 +110,7 @@ class TestChains:
     def test_n2_scalar(self):
         ch = compute_chains(scalar_tridiag(2, -1.0, 2.0, -1.0))
         assert ch.L(1)[0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert ch.T(1)[0, 0] == pytest.approx(-0.5, abs=1e-15)
         assert ch.M(2)[0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert ch.W(2)[0, 0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_norms_bounded_by_tau_omega(self):
         a = build_example("ex2.1")

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockdom import build_example, write_matrix_file
+from blockdom import (build_example, build_tridiag_toeplitz, kron_sum, read_matrix_file,
+                      write_matrix_file)
 from blockdom.cli import main
 
 from helpers import scalar_tridiag
@@ -117,11 +118,29 @@ class TestInvert:
         inv = json.loads((out / "inverse.json").read_text())
         assert inv["kind"] == "general_block"
 
-    def test_zero_superdiagonal_block(self, tmp_path, capsys):
+    def test_zero_superdiagonal_block(self, tmp_path):
+        # [[2, 0], [-1, 2]] is invertible; a zero B_1 needs no inversion.
         p = write_scalar(tmp_path, "m.json", -1.0, 2.0, 0.0, n=2)
+        out = tmp_path / "o"
+        assert main(["invert", "--input", str(p), "--output", str(out)]) == 0
+        inv = read_matrix_file(out / "inverse.json").to_dense()
+        expected = np.linalg.inv(np.array([[2.0, 0.0], [-1.0, 2.0]]))
+        assert np.abs(inv - expected).max() <= 1e-15
+
+    def test_singular_schur_complement_named(self, tmp_path, capsys):
+        # Every block is 1: the blocks are nonsingular, the matrix is not,
+        # and S_1 = A_1 - B_1 A_2^{-1} C_1 = 0.
+        p = write_scalar(tmp_path, "m.json", 1.0, 1.0, 1.0, n=2)
         assert main(["invert", "--input", str(p),
                      "--output", str(tmp_path / "o")]) == 3
-        assert "B_1" in capsys.readouterr().err
+        assert "S_1 inversion" in capsys.readouterr().err
+
+    def test_singular_diagonal_block_named(self, tmp_path, capsys):
+        # [[0, 1], [1, 0]] is invertible, but its diagonal blocks are not.
+        p = write_scalar(tmp_path, "m.json", 1.0, 0.0, 1.0, n=2)
+        assert main(["invert", "--input", str(p),
+                     "--output", str(tmp_path / "o")]) == 3
+        assert "A_1 inversion" in capsys.readouterr().err
 
     def test_single_block(self, tmp_path):
         p = write_scalar(tmp_path, "m.json", 0.0, 2.0, 0.0, n=1)
@@ -152,6 +171,19 @@ class TestBounds:
         for t in range(1, 9):
             assert (out / f"bounds_t{t}.csv").exists()
         assert "t=8" in capsys.readouterr().out
+
+    def test_norms_at_k20_match_dense_inverse(self, tmp_path):
+        # N = 400: the four-sequence inverse was silently wrong here.
+        a = kron_sum(build_tridiag_toeplitz(20, -1.0, 2.0, -1.0))
+        p, out = tmp_path / "lap20.json", tmp_path / "out"
+        write_matrix_file(p, a)
+        assert main(["bounds", "--input", str(p), "--output", str(out), "--t", "1"]) == 0
+        rows = np.loadtxt(out / "bounds_t1.csv", delimiter=",", skiprows=1)
+        ref = np.linalg.inv(a.to_dense()).reshape(20, 20, 20, 20).transpose(0, 2, 1, 3)
+        ref_norms = np.linalg.norm(ref, ord=2, axis=(-2, -1))
+        assert rows.shape == (400, 6)
+        got = rows[:, 2].reshape(20, 20)
+        assert np.abs(got - ref_norms).max() <= 1e-12
 
     def test_single_step(self, laplacian_file, tmp_path):
         out = tmp_path / "out"

@@ -3,9 +3,10 @@ import pytest
 
 from blockdom import (BlockTridiagonalMatrix, NormKind,
                       RecurrenceOverflowError, SingularError,
-                      assemble_inverse, build_example, ikebe_factors,
-                      invert_block_tridiagonal, residual)
-from blockdom.inverse import BlockInverse
+                      assemble_inverse, build_example, build_tridiag_toeplitz,
+                      ikebe_factors, invert_block_tridiagonal, kron_sum,
+                      residual)
+from blockdom.inverse import BlockInverse, diag_residual
 
 from helpers import ALL_KINDS, np_norm, random_dominant_tridiag, scalar_tridiag
 
@@ -59,6 +60,45 @@ class TestAgainstDenseOracle:
     def test_symmetric_inverse_symmetric(self):
         z = invert_block_tridiagonal(build_example("ex2.1")).to_dense()
         assert np.abs(z - z.T).max() <= 1e-9
+
+
+def dense_rel_err(a, z):
+    ref = np.linalg.inv(a.to_dense())
+    return np.linalg.norm(z.to_dense() - ref) / np.linalg.norm(ref)
+
+
+class TestReach:
+    """Sizes at which the four-sequence inverse is wrong or raises: its
+    iterates grow geometrically with n, the chain inverse's do not."""
+
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_laplacian(self, k):
+        a = kron_sum(build_tridiag_toeplitz(k, -1.0, 2.0, -1.0))
+        assert dense_rel_err(a, invert_block_tridiagonal(a)) <= 1e-12
+
+    def test_random_n120(self):
+        a = random_dominant_tridiag(np.random.default_rng(0), 120, 4, NormKind.TWO)
+        assert dense_rel_err(a, invert_block_tridiagonal(a)) <= 1e-12
+
+
+class TestDiagResidual:
+    def test_matches_dense_diagonal_blocks(self):
+        rng = np.random.default_rng(52)
+        for kind in ALL_KINDS:
+            a = random_dominant_tridiag(rng, 6, 3, kind)
+            z = invert_block_tridiagonal(a)
+            z = BlockInverse(blocks=z.blocks * (1.0 + 1e-6 * rng.standard_normal(z.blocks.shape)))
+            r = z.to_dense() @ a.to_dense() - np.eye(18)
+            dense = max(np_norm(r[3 * i:3 * i + 3, 3 * i:3 * i + 3], kind) for i in range(6))
+            assert diag_residual(a, z, kind) == pytest.approx(dense, rel=1e-9)
+
+    def test_scale_invariant(self):
+        a = build_example("ex2.2")
+        z = invert_block_tridiagonal(a)
+        scaled = BlockTridiagonalMatrix(diag=4.0 * a.diag, sup=4.0 * a.sup, sub=4.0 * a.sub)
+        zs = invert_block_tridiagonal(scaled)
+        assert diag_residual(a, z, NormKind.TWO) <= 1e-14
+        assert diag_residual(scaled, zs, NormKind.TWO) == diag_residual(a, z, NormKind.TWO)
 
 
 class TestConsistency:

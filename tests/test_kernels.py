@@ -4,84 +4,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdom import (ConvergenceError, NormKind, SingularError, batch_norm,
-                      eigenvalues_small, identity_norm, invert, lu_factor,
-                      lu_solve, norm, solve_blocks)
+                      eigenvalues_small, identity_norm, norm, solve_blocks)
 
 from helpers import ALL_KINDS, NP_ORD, np_norm, random_block
 
 
 class TestLU:
-    def test_identity(self):
-        f = lu_factor(np.eye(3))
-        assert np.array_equal(f.lower, np.eye(3))
-        assert np.array_equal(f.upper, np.eye(3))
-
-    def test_reconstruction(self):
-        a = np.zeros((9, 9), dtype=np.complex128)
-        np.fill_diagonal(a, 4.0)
-        for i in range(8):
-            a[i, i + 1] = a[i + 1, i] = -1.0
-        f = lu_factor(a)
-        assert np.abs(f.lower @ f.upper - a[f.perm]).max() <= 1e-14
-
-    def test_pivoting_reconstruction_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            a = random_block(rng, 5)
-            f = lu_factor(a)
-            assert np.abs(f.lower @ f.upper - a[f.perm]).max() <= 1e-12 * np.abs(a).max()
+    """solve_blocks factors each block by LAPACK's pivoted LU (getrf)."""
 
     def test_zero_matrix_singular(self):
-        with pytest.raises(SingularError) as exc:
-            lu_factor(np.zeros((2, 2)))
-        assert exc.value.pivot_index == 0
+        with pytest.raises(SingularError, match="A_1 inversion"):
+            solve_blocks(np.zeros((2, 2)))
 
     def test_rank_deficient_singular(self):
-        with pytest.raises(SingularError) as exc:
-            lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert exc.value.pivot_index == 1
+        a = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
+        with pytest.raises(SingularError, match="A_2 inversion"):
+            solve_blocks(a)
 
     def test_context_in_message(self):
         with pytest.raises(SingularError, match="B_1 inversion"):
-            lu_factor(np.zeros((2, 2)), context="B_1 inversion")
+            solve_blocks(np.zeros((2, 2)), name="B")
 
     def test_solve_vector_and_matrix(self):
         rng = np.random.default_rng(6)
         a = random_block(rng, 4)
-        f = lu_factor(a)
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert np.allclose(a @ lu_solve(f, b), b, atol=1e-12)
+        assert np.allclose(a @ solve_blocks(a, b), b, atol=1e-12)
         bm = random_block(rng, 4)
-        assert np.allclose(a @ lu_solve(f, bm), bm, atol=1e-12)
-
-    def test_solve_shape_mismatch(self):
-        f = lu_factor(np.eye(3))
-        with pytest.raises(ValueError):
-            lu_solve(f, np.ones(4))
+        assert np.allclose(a @ solve_blocks(a, bm), bm, atol=1e-12)
 
     def test_scale_invariant_threshold(self):
         # A tiny but perfectly conditioned matrix must not be flagged.
-        f = lu_factor(1e-200 * np.eye(3))
-        assert f.m == 3
+        inv = solve_blocks(1e-200 * np.eye(3))
+        assert inv.shape == (3, 3)
 
 
 class TestInvert:
     def test_identity(self):
-        assert np.array_equal(invert(np.eye(4)), np.eye(4))
+        assert np.array_equal(solve_blocks(np.eye(4)), np.eye(4))
 
     def test_hand_case(self):
-        inv = invert(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        inv = solve_blocks(np.array([[2.0, 1.0], [1.0, 1.0]]))
         assert np.allclose(inv, np.array([[1.0, -1.0], [-1.0, 2.0]]), atol=1e-14)
 
     def test_random_consistency(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             a = random_block(rng, 4) + 3.0 * np.eye(4)
-            assert np.abs(invert(a) @ a - np.eye(4)).max() <= 1e-11
+            assert np.abs(solve_blocks(a) @ a - np.eye(4)).max() <= 1e-11
 
     def test_singular(self):
-        with pytest.raises(SingularError):
-            invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(SingularError, match="A_1 inversion"):
+            solve_blocks(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(SingularError, match="during V_n seed inversion"):
+            solve_blocks(np.zeros((2, 2)), name="V_n seed", first=None)
 
     def test_solve_blocks_random_stack(self):
         rng = np.random.default_rng(14)
@@ -229,3 +205,18 @@ class TestEigenvaluesSmall:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             eigenvalues_small(np.eye(65))
+
+    def test_inexact_eigenvector_refined(self, monkeypatch):
+        # An eigenvector off by 1e-3 misses the residual target; inverse
+        # iteration at the exact (singular) shift must recover it.
+        a = np.array([[2.0, 1.0], [0.0, 3.0]])
+        vals, vecs = np.linalg.eig(a)
+        monkeypatch.setattr(np.linalg, "eig", lambda _: (vals, vecs + 1e-3))
+        assert np.array_equal(eigenvalues_small(a), vals)
+
+    def test_wrong_eigenvalue_raises(self, monkeypatch):
+        a = np.array([[2.0, 1.0], [0.0, 3.0]])
+        vals, vecs = np.linalg.eig(a)
+        monkeypatch.setattr(np.linalg, "eig", lambda _: (vals + 1e-6, vecs))
+        with pytest.raises(ConvergenceError, match="eigenpair 0"):
+            eigenvalues_small(a, max_iter=5)
