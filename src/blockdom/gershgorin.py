@@ -11,9 +11,10 @@ classical Gershgorin disks. Points where A_ii - z I is singular belong to
 both sets; their margins are +infinity.
 
 Grid evaluation batches the shifted blocks per row and runs stacked
-SVDs/solves over whole node chunks, optionally across threads
-(BLOCKDOM_THREADS, at most one per CPU); chunk order is fixed, so output
-is deterministic.
+SVDs/solves over fixed slices of GRID_CHUNK nodes, one thread per CPU
+(at most one per slice). LAPACK works on each matrix alone and every
+slice writes its own columns, so the margins are bitwise the same
+whatever the thread count or the slice size.
 """
 from __future__ import annotations
 
@@ -26,6 +27,10 @@ import numpy as np
 from .kernels import NormKind, batch_norm, eigenvalues_small, norm, singular_mask
 from .matrixio import fill_floats
 from .structures import block_rows
+
+# Nodes per stacked SVD/solve: one in-flight slice holds about
+# GRID_CHUNK * m * m * 16 bytes of shifted blocks, whatever the grid size.
+GRID_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -204,32 +209,13 @@ def auto_box(a, kind: NormKind, pad: float = 0.1) -> tuple[float, float, float, 
     return re_lo - pad_re, re_hi + pad_re, im_lo - pad_im, im_hi + pad_im
 
 
-def worker_count(nodes: int, workers: int | None = None) -> int:
-    """Threads for a grid of ``nodes`` points: ``workers``, or the
-    BLOCKDOM_THREADS environment variable (default 1) when it is None,
-    capped at the CPU count and at ``nodes``.
-
-    Raises ValueError, naming its source, for a count that is not an
-    integer of at least 1.
-    """
-    source = f"workers={workers!r}"
-    if workers is None:
-        raw = os.environ.get("BLOCKDOM_THREADS", "1")
-        source = f"BLOCKDOM_THREADS={raw!r}"
-        workers = int(raw) if raw.strip().isdecimal() else 0
-    if workers < 1:
-        raise ValueError(f"{source}: the thread count must be an integer >= 1")
-    return min(workers, os.cpu_count() or 1, nodes)
-
-
 def eval_grid(a, box: tuple[float, float, float, float] | None,
-              nx: int, ny: int, kind: NormKind,
-              workers: int | None = None) -> RegionGrid:
+              nx: int, ny: int, kind: NormKind) -> RegionGrid:
     """Evaluate both margins for every block row on an nx-by-ny grid.
 
     ``box`` is (re_min, re_max, im_min, im_max); None selects auto_box.
-    ``workers`` defaults to the BLOCKDOM_THREADS environment variable;
-    see worker_count for its validation and cap.
+    Each block row is evaluated in slices of GRID_CHUNK nodes, spread
+    over min(CPU count, slice count) threads.
     """
     diag, offs = block_rows(a)
     if box is None:
@@ -241,28 +227,22 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
         raise ValueError(f"degenerate box {box}")
     if nx < 2 or ny < 2:
         raise ValueError("need nx >= 2 and ny >= 2")
-    workers = worker_count(nx * ny, workers)
 
     res = np.linspace(re_min, re_max, nx)
     ims = np.linspace(im_min, im_max, ny)
     zs = (res[None, :] + 1j * ims[:, None]).ravel()
 
     n = diag.shape[0]
-    margins_new = np.empty((n, ny * nx))
-    margins_fv = np.empty((n, ny * nx))
+    margins_new = np.empty((n, zs.size))
+    margins_fv = np.empty((n, zs.size))
 
-    if workers == 1:
-        for i in range(n):
-            margins_new[i], margins_fv[i] = _row_margins(diag[i], offs[i], zs, kind)
-    else:
-        chunks = np.array_split(np.arange(zs.shape[0]), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i in range(n):
-                futures = [pool.submit(_row_margins, diag[i], offs[i], zs[c], kind)
-                           for c in chunks]
-                mn = np.concatenate([f.result()[0] for f in futures])
-                mf = np.concatenate([f.result()[1] for f in futures])
-                margins_new[i], margins_fv[i] = mn, mf
+    def fill(i: int, s: slice) -> None:
+        margins_new[i, s], margins_fv[i, s] = _row_margins(diag[i], offs[i], zs[s], kind)
+
+    slices = [slice(k, k + GRID_CHUNK) for k in range(0, zs.size, GRID_CHUNK)]
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(slices))) as pool:
+        for f in [pool.submit(fill, i, s) for i in range(n) for s in slices]:
+            f.result()
 
     return RegionGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,

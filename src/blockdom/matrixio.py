@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Iterable
 
 import numpy as np
 
@@ -121,43 +120,40 @@ def fill_floats(template: str, values) -> str:
     return template % tuple(np.where(np.isinf(x), np.inf, x).ravel().tolist())
 
 
-def _block_json(block: np.ndarray) -> str:
-    entries = ",".join(
-        '{"re":%s,"im":%s}' % (_fmt(z.real), _fmt(z.imag))
-        for z in block.ravel())
-    return "[" + entries + "]"
-
-
-def _block_list_json(blocks: Iterable[np.ndarray], indent: str) -> str:
-    rows = (",\n" + indent).join(_block_json(b) for b in blocks)
-    return "[\n" + indent + rows + "\n" + indent[:-2] + "]" if rows else "[]"
+def _list_json(template: str, count: int, indent: str) -> str:
+    """A JSON list of ``count`` copies of ``template``, one per line."""
+    if not count:
+        return "[]"
+    items = (",\n" + indent).join([template] * count)
+    return "[\n" + indent + items + "\n" + indent[:-2] + "]"
 
 
 def write_matrix_file(path, matrix) -> None:
     """Write a BlockTridiagonalMatrix or GeneralBlockMatrix as JSON."""
+    if not isinstance(matrix, (BlockTridiagonalMatrix, GeneralBlockMatrix)):
+        raise TypeError(f"cannot serialize {type(matrix).__name__}")
+    # One %.17g template for every entry, filled in one call.
+    block = "[" + ",".join(['{"re":%.17g,"im":%.17g}'] * matrix.m ** 2) + "]"
     if isinstance(matrix, BlockTridiagonalMatrix):
         kind = KIND_TRIDIAG
-        blocks = (
-            '"A": %s,\n    "B": %s,\n    "C": %s'
-            % (_block_list_json(matrix.diag, " " * 6),
-               _block_list_json(matrix.sup, " " * 6),
-               _block_list_json(matrix.sub, " " * 6)))
-    elif isinstance(matrix, GeneralBlockMatrix):
-        kind = KIND_GENERAL
-        rows = (",\n" + " " * 6).join(
-            "[" + (",\n" + " " * 8).join(_block_json(b) for b in row) + "]"
-            for row in matrix.blocks)
-        blocks = '"grid": [\n      %s\n    ]' % rows
+        stacks = (matrix.diag, matrix.sup, matrix.sub)
+        blocks = '"A": %s,\n    "B": %s,\n    "C": %s' % tuple(
+            _list_json(block, len(b), " " * 6) for b in stacks)
     else:
-        raise TypeError(f"cannot serialize {type(matrix).__name__}")
+        kind = KIND_GENERAL
+        stacks = (matrix.blocks,)
+        row = "[" + (",\n" + " " * 8).join([block] * matrix.n) + "]"
+        blocks = '"grid": [\n      %s\n    ]' % (",\n" + " " * 6).join([row] * matrix.n)
+    entries = np.concatenate([b.ravel() for b in stacks])
     text = (
         "{\n"
         '  "schema_version": "%s",\n'
         '  "kind": "%s",\n'
         '  "n": %d,\n'
         '  "m": %d,\n'
-        '  "blocks": {\n    %s\n  }\n'
-        "}\n" % (SCHEMA_VERSION, kind, matrix.n, matrix.m, blocks))
+        '  "blocks": {\n    ' % (SCHEMA_VERSION, kind, matrix.n, matrix.m)
+        + fill_floats(blocks, np.stack([entries.real, entries.imag], axis=-1))
+        + "\n  }\n}\n")
     _write_text(path, text)
 
 

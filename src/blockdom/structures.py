@@ -8,7 +8,6 @@ mathematical block rows 1..n map to array indices 0..n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,16 +53,6 @@ class BlockTridiagonalMatrix:
     @property
     def m(self) -> int:
         return self.diag.shape[1]
-
-    @classmethod
-    def from_blocks(cls, diag: Sequence, sup: Sequence = (), sub: Sequence = ()):
-        d = [np.atleast_2d(np.asarray(b, dtype=np.complex128)) for b in diag]
-        if not d:
-            raise ValueError("need at least one diagonal block")
-        m = d[0].shape[0]
-        shape3 = lambda bs: (np.asarray([np.atleast_2d(np.asarray(b, dtype=np.complex128)) for b in bs])
-                             if bs else np.zeros((0, m, m), dtype=np.complex128))
-        return cls(diag=np.asarray(d), sup=shape3(list(sup)), sub=shape3(list(sub)))
 
     def to_dense(self) -> np.ndarray:
         n, m = self.n, self.m

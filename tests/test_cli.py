@@ -255,14 +255,6 @@ class TestGershgorin:
         assert "box -inf,inf,-1,1 has a non-finite bound" in err and "SVD" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_thread_count(self, tmp_path, capsys, monkeypatch):
-        p = tmp_path / "g.json"
-        write_matrix_file(p, build_example("ex3.1a"))
-        monkeypatch.setenv("BLOCKDOM_THREADS", "0")
-        assert main(["gershgorin", "--input", str(p), "--output", str(tmp_path / "o"),
-                     "--box=-1,9,-4,4"]) == 1
-        assert "BLOCKDOM_THREADS" in capsys.readouterr().err
-
     def test_tridiagonal_input_accepted(self, laplacian_file, tmp_path):
         out = tmp_path / "out"
         assert main(["gershgorin", "--input", str(laplacian_file),
@@ -302,6 +294,16 @@ class TestReproduce:
         assert main(["reproduce", "ex2.1", "--t", "9", "--output", str(out)]) == 1
         assert "t=9 exceeds the refinement range 1..8" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_golden_table_skipped_off_the_two_norm(self, tmp_path, capsys):
+        # The golden tables hold two-norm maxima; other norms skip them.
+        assert main(["reproduce", "ex2.1", "--norm", "inf",
+                     "--output", str(tmp_path / "inf")]) == 0
+        text = capsys.readouterr().out
+        assert "INFO: golden table skipped" in text and "ex2.1: PASS" in text
+        # ex2.1 is not block dominant in the Frobenius norm.
+        assert main(["reproduce", "ex2.1", "--norm", "fro",
+                     "--output", str(tmp_path / "fro")]) == 4
 
     def test_seeded_example_needs_seed(self, tmp_path, capsys):
         assert main(["reproduce", "ex2.3", "--output", str(tmp_path / "o")]) == 1

@@ -1,11 +1,10 @@
-import os
-
 import numpy as np
 import pytest
 
 from blockdom import (GeneralBlockMatrix, NormKind, RegionGrid, auto_box, block_rows,
                       build_example, compare_regions, eval_grid, margins_at, norm)
-from blockdom.gershgorin import _row_margins, worker_count
+from blockdom import gershgorin
+from blockdom.gershgorin import _row_margins
 
 from helpers import ALL_KINDS, random_general, scalar_tridiag
 
@@ -170,31 +169,30 @@ class TestEvalGrid:
         assert (grid.re_min, grid.re_max) == (lo, hi)
         assert (grid.im_min, grid.im_max) == (blo, bhi)
 
-    def test_thread_count_is_bitwise_irrelevant(self, monkeypatch):
+    def test_chunk_size_is_bitwise_irrelevant(self, monkeypatch):
+        # 23 * 17 = 391 nodes: four slices of 97 and a partial one of 3.
         a = build_example("ex3.1b")
         box = (-1.0, 9.0, -4.0, 4.0)
-        serial = eval_grid(a, box, 23, 17, NormKind.TWO, workers=1)
-        threaded = eval_grid(a, box, 23, 17, NormKind.TWO, workers=3)
-        assert np.array_equal(serial.margins_new, threaded.margins_new)
-        assert np.array_equal(serial.margins_fv, threaded.margins_fv)
-        monkeypatch.setenv("BLOCKDOM_THREADS", "2")
-        from_env = eval_grid(a, box, 23, 17, NormKind.TWO)
-        assert np.array_equal(serial.margins_new, from_env.margins_new)
+        for kind in ALL_KINDS:
+            whole = eval_grid(a, box, 23, 17, kind)
+            monkeypatch.setattr(gershgorin, "GRID_CHUNK", 97)
+            sliced = eval_grid(a, box, 23, 17, kind)
+            monkeypatch.undo()
+            assert np.array_equal(whole.margins_new, sliced.margins_new)
+            assert np.array_equal(whole.margins_fv, sliced.margins_fv)
 
-    def test_worker_count_validated_and_capped(self, monkeypatch):
-        cpus = os.cpu_count() or 1
-        monkeypatch.delenv("BLOCKDOM_THREADS", raising=False)
-        assert worker_count(100) == 1
-        assert worker_count(100, workers=10 ** 6) == min(cpus, 100)
-        assert worker_count(2, workers=10 ** 6) == min(cpus, 2)
-        monkeypatch.setenv("BLOCKDOM_THREADS", str(10 ** 6))
-        assert worker_count(100) == min(cpus, 100)
-        for bad in ("0", "-3", "2.5", "many", ""):
-            monkeypatch.setenv("BLOCKDOM_THREADS", bad)
-            with pytest.raises(ValueError, match="BLOCKDOM_THREADS"):
-                worker_count(100)
-        with pytest.raises(ValueError, match="workers"):
-            worker_count(100, workers=0)
+    def test_row_margins_sees_at_most_one_chunk(self, monkeypatch):
+        sizes = []
+
+        def spy(diag, offs, zs, kind):
+            sizes.append(zs.shape[0])
+            return _row_margins(diag, offs, zs, kind)
+
+        monkeypatch.setattr(gershgorin, "_row_margins", spy)
+        a = build_example("ex3.1a")
+        eval_grid(a, (-1.0, 9.0, -4.0, 4.0), 300, 300, NormKind.ONE)
+        assert max(sizes) == gershgorin.GRID_CHUNK
+        assert sum(sizes) == 300 * 300 * len(block_rows(a)[0])
 
     def test_degenerate_box_rejected(self):
         a = build_example("ex3.1a")
@@ -264,12 +262,14 @@ class TestCsvLoopReference:
         assert np.isinf(grid.margins_fv).any()
         self.assert_same_bytes(grid, tmp_path)
 
-    def test_threaded_and_random(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BLOCKDOM_THREADS", "2")
+    def test_threaded_and_random(self, tmp_path):
+        # 70 * 61 nodes span two slices: on two or more CPUs, two threads
+        # share each row.
+        assert 70 * 61 > gershgorin.GRID_CHUNK
         rng = np.random.default_rng(72)
         for kind in ALL_KINDS:
             a = random_general(rng, 3, 2)
-            self.assert_same_bytes(eval_grid(a, None, 13, 7, kind), tmp_path)
+            self.assert_same_bytes(eval_grid(a, None, 70, 61, kind), tmp_path)
 
     def test_negative_infinity_prints_inf(self, tmp_path):
         margins = np.array([[[0.5, -np.inf], [np.nan, np.inf]]])
