@@ -11,10 +11,12 @@ classical Gershgorin disks. Points where A_ii - z I is singular belong to
 both sets; their margins are +infinity.
 
 Grid evaluation batches the shifted blocks per row and runs stacked
-SVDs/solves over fixed slices of GRID_CHUNK nodes, one thread per CPU
-(at most one per slice). LAPACK works on each matrix alone and every
-slice writes its own columns, so the margins are bitwise the same
-whatever the thread count or the slice size.
+inverses/solves over fixed slices of GRID_CHUNK nodes, one thread per CPU
+(at most one per row and slice). Outside the two-norm, the SVD
+singularity test runs only on nodes whose inverse does not rule it out.
+LAPACK works on each matrix alone and every slice writes its own columns,
+so the margins are bitwise the same whatever the thread count or the
+slice size.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import NormKind, batch_norm, eigenvalues_small, norm, singular_mask
+from .kernels import (SINGULAR_SHIFT_RTOL, NormKind, batch_norm, eigenvalues_small, norm,
+                      singular_mask)
 from .matrixio import fill_floats
 from .structures import block_rows
 
@@ -147,28 +150,31 @@ def _row_margins(diag: np.ndarray, offs: np.ndarray, zs: np.ndarray,
     shifted = np.broadcast_to(diag, (npts, m, m)).copy()
     idx = np.arange(m)
     shifted[:, idx, idx] -= zs[:, None]
-    svals = np.linalg.svd(shifted, compute_uv=False)
-    singular = singular_mask(svals)
+    if kind is NormKind.TWO:
+        svals = np.linalg.svd(shifted, compute_uv=False)
+        ok = ~singular_mask(svals)
+        inv_norms = 1.0 / svals[ok, -1]
+    else:
+        # The SVD test runs only on suspect nodes. cond_2 <= m * cond in the
+        # one, inf and Frobenius norms, so a node whose product stays below
+        # 1e-2 / SINGULAR_SHIFT_RTOL passes it by a factor of 100; NaN and
+        # inf are suspect, and so is a whole slice that LAPACK cannot invert.
+        try:
+            inv_norms = batch_norm(np.linalg.inv(shifted), kind)
+            suspect = ~(m * batch_norm(shifted, kind) * inv_norms
+                        < 1e-2 / SINGULAR_SHIFT_RTOL)
+        except np.linalg.LinAlgError:
+            inv_norms, suspect = None, np.ones(npts, dtype=bool)
+        ok = np.ones(npts, dtype=bool)
+        if suspect.any():
+            ok[suspect] = ~singular_mask(np.linalg.svd(shifted[suspect], compute_uv=False))
+        inv_norms = (batch_norm(np.linalg.inv(shifted[ok]), kind) if inv_norms is None
+                     else inv_norms[ok])
 
     margins_new = np.full(npts, np.inf)
     margins_fv = np.full(npts, np.inf)
-    ok = ~singular
     if ok.any():
         sub = shifted[ok]
-        if kind is NormKind.TWO:
-            inv_norms = 1.0 / svals[ok, -1]
-        else:
-            try:
-                inv_norms = batch_norm(np.linalg.inv(sub), kind)
-            except np.linalg.LinAlgError:
-                # A pivot underflowed despite the SVD mask: fall back to
-                # one matrix at a time, marking failures singular.
-                inv_norms = np.empty(sub.shape[0])
-                for k in range(sub.shape[0]):
-                    try:
-                        inv_norms[k] = batch_norm(np.linalg.inv(sub[k])[None], kind)[0]
-                    except np.linalg.LinAlgError:
-                        inv_norms[k] = np.inf
         margins_fv[ok] = inv_norms * radius
         total = np.zeros(sub.shape[0])
         for b in offs:
@@ -214,8 +220,8 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
     """Evaluate both margins for every block row on an nx-by-ny grid.
 
     ``box`` is (re_min, re_max, im_min, im_max); None selects auto_box.
-    Each block row is evaluated in slices of GRID_CHUNK nodes, spread
-    over min(CPU count, slice count) threads.
+    Each block row is evaluated in slices of GRID_CHUNK nodes; the
+    (row, slice) tasks are spread over min(CPU count, task count) threads.
     """
     diag, offs = block_rows(a)
     if box is None:
@@ -240,8 +246,9 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
         margins_new[i, s], margins_fv[i, s] = _row_margins(diag[i], offs[i], zs[s], kind)
 
     slices = [slice(k, k + GRID_CHUNK) for k in range(0, zs.size, GRID_CHUNK)]
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(slices))) as pool:
-        for f in [pool.submit(fill, i, s) for i in range(n) for s in slices]:
+    tasks = [(i, s) for i in range(n) for s in slices]
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(tasks))) as pool:
+        for f in [pool.submit(fill, i, s) for i, s in tasks]:
             f.result()
 
     return RegionGrid(

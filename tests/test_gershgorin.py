@@ -1,3 +1,6 @@
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,9 @@ from blockdom import (GeneralBlockMatrix, NormKind, RegionGrid, auto_box, block_
                       build_example, compare_regions, eval_grid, margins_at, norm)
 from blockdom import gershgorin
 from blockdom.gershgorin import _row_margins
+from blockdom.kernels import batch_norm, singular_mask
 
-from helpers import ALL_KINDS, random_general, scalar_tridiag
+from helpers import ALL_KINDS, random_dominant_tridiag, random_general, scalar_tridiag
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -220,6 +224,114 @@ class TestEvalGrid:
         # node-outer, row-inner ordering
         assert lines[2].split(",")[2] == "2"
         assert lines[3].split(",")[:3] == ["0.5", "-1", "1"]
+
+
+    def test_pool_sized_by_tasks(self, monkeypatch):
+        # ex2.1 at 24x24 is 9 rows of one slice; ex3.1a at 200x200 is 2 rows
+        # of 10 slices. The stand-in pool runs each task inline.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                f = Future()
+                f.set_result(fn(*args))
+                return f
+
+        monkeypatch.setattr(gershgorin, "ThreadPoolExecutor", InlinePool)
+        for cpus in (1, 4, 32):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            eval_grid(build_example("ex2.1"), None, 24, 24, NormKind.ONE)
+            eval_grid(build_example("ex3.1a"), None, 200, 200, NormKind.ONE)
+            assert sizes == [min(cpus, 9), min(cpus, 20)]
+
+
+def loop_row_margins(diag, offs, zs, kind):
+    """The SVD-first _row_margins that the screened one replaced: one SVD
+    test on every node, then inv/solve on the nonsingular ones."""
+    offs = [b for b in offs if b.any()]
+    radius = sum(norm(b, kind) for b in offs)
+    m = diag.shape[0]
+    if m == 1:
+        dist = np.abs(diag[0, 0] - zs)
+        with np.errstate(divide="ignore"):
+            margin = np.where(dist == 0.0, np.inf, radius / np.where(dist == 0.0, 1.0, dist))
+        return margin, margin.copy()
+
+    npts = zs.shape[0]
+    shifted = np.broadcast_to(diag, (npts, m, m)).copy()
+    idx = np.arange(m)
+    shifted[:, idx, idx] -= zs[:, None]
+    svals = np.linalg.svd(shifted, compute_uv=False)
+    singular = singular_mask(svals)
+
+    margins_new = np.full(npts, np.inf)
+    margins_fv = np.full(npts, np.inf)
+    ok = ~singular
+    if ok.any():
+        sub = shifted[ok]
+        if kind is NormKind.TWO:
+            inv_norms = 1.0 / svals[ok, -1]
+        else:
+            try:
+                inv_norms = batch_norm(np.linalg.inv(sub), kind)
+            except np.linalg.LinAlgError:
+                inv_norms = np.empty(sub.shape[0])
+                for k in range(sub.shape[0]):
+                    try:
+                        inv_norms[k] = batch_norm(np.linalg.inv(sub[k])[None], kind)[0]
+                    except np.linalg.LinAlgError:
+                        inv_norms[k] = np.inf
+        margins_fv[ok] = inv_norms * radius
+        total = np.zeros(sub.shape[0])
+        for b in offs:
+            total += batch_norm(np.linalg.solve(sub, b), kind)
+        margins_new[ok] = total
+    return margins_new, margins_fv
+
+
+class TestRowMarginsLoopReference:
+    """eval_grid's margins are bitwise those of the SVD-first loop."""
+
+    def assert_bitwise(self, monkeypatch, a, box, nx, ny):
+        for kind in ALL_KINDS:
+            got = eval_grid(a, box, nx, ny, kind)
+            with monkeypatch.context() as mp:
+                mp.setattr(gershgorin, "_row_margins", loop_row_margins)
+                want = eval_grid(a, box, nx, ny, kind)
+            assert np.array_equal(got.margins_new, want.margins_new), kind
+            assert np.array_equal(got.margins_fv, want.margins_fv), kind
+
+    @pytest.mark.parametrize("exp_id", ["ex3.1a", "ex3.1b"])
+    def test_examples_with_singular_nodes(self, monkeypatch, exp_id):
+        self.assert_bitwise(monkeypatch, build_example(exp_id), (-1.0, 9.0, -4.0, 4.0), 11, 9)
+
+    @pytest.mark.parametrize("half", [1e-13, 1e-12])
+    def test_box_around_an_eigenvalue(self, monkeypatch, half):
+        # 2 is an eigenvalue of both diagonal blocks of ex3.1a; the SVD test
+        # flags nodes within about 4e-13 of it.
+        self.assert_bitwise(monkeypatch, build_example("ex3.1a"),
+                            (2.0 - half, 2.0 + half, -half, half), 7, 6)
+
+    def test_banded_example(self, monkeypatch):
+        self.assert_bitwise(monkeypatch, build_example("ex2.1"), None, 24, 24)
+
+    def test_random_tridiagonal(self, monkeypatch):
+        a = random_dominant_tridiag(np.random.default_rng(74), 10, 6, NormKind.ONE)
+        self.assert_bitwise(monkeypatch, a, None, 16, 12)
+
+    def test_tiny_scale(self, monkeypatch):
+        a = GeneralBlockMatrix(blocks=1e-200 * build_example("ex3.1a").blocks)
+        self.assert_bitwise(monkeypatch, a, (-1e-200, 9e-200, -4e-200, 4e-200), 11, 9)
 
 
 def loop_grid_csv(grid):
