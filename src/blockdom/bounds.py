@@ -23,7 +23,7 @@ import numpy as np
 
 from .dominance import diag_solves
 from .kernels import NormKind, batch_norm, identity_norm, solve_blocks
-from .matrixio import fill_floats
+from .matrixio import refill_floats
 from .structures import BlockTridiagonalMatrix
 
 if TYPE_CHECKING:
@@ -84,16 +84,6 @@ class TauOmegaTable:
         return float(self.tau[:, t - 1].max()), float(self.omega[:, t - 1].max())
 
 
-def _ratio(num: float, den: float, row: int, step: int, which: str) -> float:
-    # A zero numerator gives a zero coefficient regardless of the
-    # denominator; only rows that actually couple need den > 0.
-    if num == 0.0:
-        return 0.0
-    if den <= 0.0:
-        raise DominanceViolation(row, step, den, which)
-    return num / den
-
-
 def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
                       t_max: int | None = None,
                       solves: np.ndarray | None = None) -> TauOmegaTable:
@@ -101,7 +91,8 @@ def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
 
     t_max defaults to n-1 (clamped to at least 1). Raises
     DominanceViolation when a denominator is nonpositive while its
-    numerator is nonzero, and SingularError for singular diagonal blocks.
+    numerator is nonzero (the lowest step, then the lowest row, tau
+    before omega), and SingularError for singular diagonal blocks.
     ``solves`` is ``diag_solves(a)`` when the caller has it already.
     """
     n = a.n
@@ -115,25 +106,35 @@ def compute_tau_omega(a: BlockTridiagonalMatrix, kind: NormKind,
     norms = batch_norm(diag_solves(a) if solves is None else solves, kind)
     nac, nab, inv_norms = norms[:, 0], norms[:, 1], norms[:, 2]
 
-    tau = np.zeros((n, t_max))
-    omega = np.zeros((n, t_max))
-    for i in range(1, n + 1):
-        tau[i - 1, 0] = _ratio(nab[i - 1], 1.0 - nac[i - 1], i, 1, "tau")
-        omega[i - 1, 0] = _ratio(nac[i - 1], 1.0 - nab[i - 1], i, 1, "omega")
-    for t in range(2, t_max + 1):
-        for i in range(1, n + 1):
-            if t > i:
-                tau[i - 1, t - 1] = tau[i - 1, t - 2]
-            else:
-                prev = tau[i - 2, t - 2] if i >= 2 else 0.0
-                tau[i - 1, t - 1] = _ratio(
-                    nab[i - 1], 1.0 - nac[i - 1] * prev, i, t, "tau")
-            if i > n - t + 1:
-                omega[i - 1, t - 1] = omega[i - 1, t - 2]
-            else:
-                nxt = omega[i, t - 2] if i <= n - 1 else 0.0
-                omega[i - 1, t - 1] = _ratio(
-                    nac[i - 1], 1.0 - nab[i - 1] * nxt, i, t, "omega")
+    # tau_{i,t} comes from tau_{i-1,t-1} and omega_{i,t} from omega_{i+1,t-1}.
+    # With omega's rows reversed both read the row above at step t-1, so
+    # x[0] holds tau and x[1] omega upside down. Step t recomputes rows
+    # t.. of both (in x's order); the other rows keep step t-1. A zero
+    # numerator gives a zero coefficient regardless of the denominator;
+    # only rows that actually couple need den > 0.
+    num, coef = np.stack([nab, nac[::-1]]), np.stack([nac, nab[::-1]])
+    live = num != 0.0
+    x = np.zeros((2, n, t_max))
+    for t in range(1, t_max + 1):
+        lo = t - 1
+        if t == 1:
+            den = 1.0 - coef
+        else:
+            x[:, :, t - 1] = x[:, :, t - 2]
+            den = 1.0 - coef[:, lo:] * x[:, lo - 1:n - 1, t - 2]
+        # fmin skips NaN, for which den <= 0 is false as well.
+        if np.fmin.reduce(den, axis=None, where=live[:, lo:], initial=np.inf) <= 0.0:
+            # The first violation: the lowest row, tau before omega.
+            bad = live[:, lo:] & (den <= 0.0)
+            tau_rows = lo + np.flatnonzero(bad[0])
+            omega_rows = n - 1 - lo - np.flatnonzero(bad[1])   # descending
+            if tau_rows.size and (not omega_rows.size or tau_rows[0] <= omega_rows[-1]):
+                raise DominanceViolation(int(tau_rows[0]) + 1, t,
+                                         float(den[0, tau_rows[0] - lo]), "tau")
+            raise DominanceViolation(int(omega_rows[-1]) + 1, t,
+                                     float(den[1, n - 1 - lo - omega_rows[-1]]), "omega")
+        np.divide(num[:, lo:], den, out=x[:, lo:, t - 1], where=live[:, lo:])
+    tau, omega = x[0], x[1, ::-1]
     return TauOmegaTable(
         norm_kind=kind, tau=tau, omega=omega,
         diag_norms=batch_norm(a.diag, kind), inv_diag_norms=inv_norms,
@@ -229,19 +230,42 @@ class BoundsReport:
             "rho2": self.rho2,
         }
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, prev: CsvText | None = None) -> CsvText:
         """One line per block (i, j), row-major; norm_Zij and E_u are nan
-        without the computed inverse, and valid is 0 where u_ij is not finite."""
+        without the computed inverse, and valid is 0 where u_ij is not finite.
+
+        ``prev`` is what the previous step's call returned: the cells whose
+        bits it already holds keep its text. Returns this file's text for
+        the next step.
+        """
         n = self.n
         missing = np.full((n, n), np.nan)
-        valid = np.isfinite(self.upper).ravel().tolist()
-        line = "".join(f"{k // n + 1},{k % n + 1},%.17g,%.17g,{int(v)},%.17g\n"
-                       for k, v in enumerate(valid))
         columns = np.stack([missing if self.z_norms is None else self.z_norms, self.upper,
+                            np.isfinite(self.upper),
                             missing if self.e_upper is None else self.e_upper], axis=-1)
+        if prev is None or len(prev.parts) != 2 * columns.size + 1:
+            # valid takes a float slot: "%.17g" prints 1.0 and 0.0 as 1 and 0.
+            parts = [","] * (2 * columns.size + 1)
+            parts[0::8] = (["i,j,norm_Zij,u_ij,valid,E_u\n1,1,"]
+                           + [f"\n{k // n + 1},{k % n + 1}," for k in range(1, n * n)]
+                           + ["\n"])
+            prev_bits = None
+        else:
+            parts, prev_bits = list(prev.parts), prev.bits
+        bits = refill_floats(parts, columns, prev_bits)
         with open(path, "w") as fh:
-            fh.write("i,j,norm_Zij,u_ij,valid,E_u\n")
-            fh.write(fill_floats(line, columns))
+            fh.write("".join(parts))
+        return CsvText(parts=parts, bits=bits)
+
+
+@dataclass(frozen=True)
+class CsvText:
+    """The text of one bounds_t<T>.csv in pieces: fixed text (the i,j
+    columns and the separators) at even positions of ``parts``, the text
+    of the float cells at odd ones, and the bits of those floats."""
+
+    parts: list
+    bits: np.ndarray
 
 
 def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse | None,

@@ -274,8 +274,14 @@ def run_bounds_chain(a: BlockTridiagonalMatrix, kind: NormKind, out: Path,
         write_matrix_file(path("inverse"), z.to_general())
     if "residual" in write:
         write_json_file(path("residual"), chain.residual)
+    # The reports keep the inverse's norm grid. Drop its blocks, so that
+    # they and the CSV text below are never held at once.
+    z = None
+    # Each step's CSV reuses the text of the cells the previous step
+    # wrote with the same bits; the refinement converges, so most repeat.
+    text = None
     for t, rep in chain.reports.items():
-        rep.write_csv(path(f"bounds_t{t}", ".csv"))
+        text = rep.write_csv(path(f"bounds_t{t}", ".csv"), text)
     if chain.reports:
         write_json_file(path("bounds_summary"),
                         [rep.summary_dict() for rep in chain.reports.values()])

@@ -109,6 +109,13 @@ def _fmt(v: float) -> str:
     return "%.17g" % v
 
 
+def _csv_floats(values) -> np.ndarray:
+    """The flattened ``values`` as floats, with -inf made inf: the CSV
+    artifacts write either infinity as "inf"."""
+    x = np.asarray(values, dtype=float).ravel()
+    return np.where(np.isinf(x), np.inf, x)
+
+
 def fill_floats(template: str, values) -> str:
     """``template`` with its ``%.17g`` slots filled, in order, from the
     flattened ``values``; either infinity is written "inf" and NaN "nan".
@@ -116,8 +123,27 @@ def fill_floats(template: str, values) -> str:
     One ``%`` over Python floats: the CSV writers bake their fixed
     columns into the template and pass the float columns here.
     """
-    x = np.asarray(values, dtype=float)
-    return template % tuple(np.where(np.isinf(x), np.inf, x).ravel().tolist())
+    return template % tuple(_csv_floats(values).tolist())
+
+
+def refill_floats(parts: list, values, prev_bits: np.ndarray | None) -> np.ndarray:
+    """Put the ``%.17g`` text of the flattened ``values`` at
+    ``parts[1::2]``, as ``fill_floats`` would write them, and return
+    their bits for the next call.
+
+    Only the slots whose bits differ from ``prev_bits`` are formatted
+    again (every slot when ``prev_bits`` is None); the others keep the
+    text ``parts`` holds. Bits, not ``==``: -0.0 and 0.0 print apart.
+    """
+    x = _csv_floats(values)
+    bits = x.view(np.uint64)
+    if prev_bits is None:
+        parts[1::2] = map(_fmt, x.tolist())
+        return bits
+    changed = np.flatnonzero(bits != prev_bits)
+    for k, v in zip((2 * changed + 1).tolist(), x[changed].tolist()):
+        parts[k] = _fmt(v)
+    return bits
 
 
 def _list_json(template: str, count: int, indent: str) -> str:
@@ -168,8 +194,11 @@ def _require_keys(obj: dict, keys: set[str], path: str) -> None:
         raise MatrixFileError(f"unknown field(s) {sorted(extra)}", path)
 
 
+_ENTRY_KEYS = {"re", "im"}
+
+
 def _parse_entry(obj, path: str) -> complex:
-    _require_keys(obj, {"re", "im"}, path)
+    _require_keys(obj, _ENTRY_KEYS, path)
     re, im = obj["re"], obj["im"]
     for name, v in (("re", re), ("im", im)):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -190,11 +219,35 @@ def _parse_block(obj, m: int, path: str) -> np.ndarray:
     return np.asarray(flat, dtype=np.complex128).reshape(m, m)
 
 
+def _block_list_array(obj: list, count: int, m: int) -> np.ndarray | None:
+    """The blocks of ``obj``, checked in one pass over all its entries, or
+    None when any of them needs the per-entry checks to name what is wrong."""
+    size = m * m
+    if not all(type(b) is list and len(b) == size for b in obj):
+        return None
+    entries = [e for b in obj for e in b]
+    if not all(type(e) is dict and e.keys() == _ENTRY_KEYS for e in entries):
+        return None
+    re = [e["re"] for e in entries]
+    im = [e["im"] for e in entries]
+    if not {*map(type, re), *map(type, im)} <= {float, int}:
+        return None
+    # .real/.imag, not re + 1j*im, which turns -0.0 into 0.0.
+    out = np.empty(count * size, dtype=np.complex128)
+    try:
+        out.real = re
+        out.imag = im
+    except OverflowError:   # an integer past the float range
+        return None
+    return out.reshape(count, m, m) if np.isfinite(out).all() else None
+
+
 def _parse_block_list(obj, count: int, m: int, path: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != count:
         raise MatrixFileError(f"expected a list of {count} blocks", path)
-    if count == 0:
-        return np.zeros((0, m, m), dtype=np.complex128)
+    blocks = _block_list_array(obj, count, m)
+    if blocks is not None:
+        return blocks
     return np.asarray([_parse_block(b, m, f"{path}[{k}]") for k, b in enumerate(obj)])
 
 

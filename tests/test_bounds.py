@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from blockdom import (BoundsReport, DominanceViolation, NormKind, SingularError,
-                      batch_norm, build_example, compute_bounds, compute_chains, compute_tau_omega,
-                      decay_envelope, identity_norm, ikebe_factors,
+from blockdom import (BlockTridiagonalMatrix, BoundsReport, DominanceViolation, NormKind,
+                      SingularError, batch_norm, build_example, compute_bounds, compute_chains,
+                      compute_tau_omega, decay_envelope, identity_norm, ikebe_factors,
                       invert_block_tridiagonal, solve_blocks)
+from blockdom.dominance import diag_solves
+from blockdom.experiments import run_bounds_chain
 
 from helpers import ALL_KINDS, np_norm, random_dominant_tridiag, scalar_tridiag
 
@@ -104,6 +106,98 @@ class TestTauOmegaErrors:
     def test_bad_t_max(self):
         with pytest.raises(ValueError):
             compute_tau_omega(scalar_tridiag(2, -1.0, 2.0, -1.0), NormKind.TWO, 0)
+
+
+def loop_tau_omega(a, kind, t_max=None):
+    """The per-cell loop compute_tau_omega replaced: (tau, omega), raising
+    the first DominanceViolation in its order of rows and steps."""
+    def ratio(num, den, row, step, which):
+        if num == 0.0:
+            return 0.0
+        if den <= 0.0:
+            raise DominanceViolation(row, step, den, which)
+        return num / den
+
+    n = a.n
+    t_max = max(1, n - 1) if t_max is None else t_max
+    norms = batch_norm(diag_solves(a), kind)
+    nac, nab = norms[:, 0], norms[:, 1]
+    tau = np.zeros((n, t_max))
+    omega = np.zeros((n, t_max))
+    for i in range(1, n + 1):
+        tau[i - 1, 0] = ratio(nab[i - 1], 1.0 - nac[i - 1], i, 1, "tau")
+        omega[i - 1, 0] = ratio(nac[i - 1], 1.0 - nab[i - 1], i, 1, "omega")
+    for t in range(2, t_max + 1):
+        for i in range(1, n + 1):
+            if t > i:
+                tau[i - 1, t - 1] = tau[i - 1, t - 2]
+            else:
+                prev = tau[i - 2, t - 2] if i >= 2 else 0.0
+                tau[i - 1, t - 1] = ratio(nab[i - 1], 1.0 - nac[i - 1] * prev, i, t, "tau")
+            if i > n - t + 1:
+                omega[i - 1, t - 1] = omega[i - 1, t - 2]
+            else:
+                nxt = omega[i, t - 2] if i <= n - 1 else 0.0
+                omega[i - 1, t - 1] = ratio(nac[i - 1], 1.0 - nab[i - 1] * nxt, i, t, "omega")
+    return tau, omega
+
+
+def scalar_rows(diag, sub, sup):
+    """m = 1 tridiagonal matrix with the given per-row entries."""
+    def blocks(x):
+        return np.asarray(x, dtype=np.complex128).reshape(-1, 1, 1)
+    return BlockTridiagonalMatrix(diag=blocks(diag), sup=blocks(sup), sub=blocks(sub))
+
+
+class TestTauOmegaLoopReference:
+    """compute_tau_omega fills one column per step; the tables are bitwise
+    the per-cell loop's and the first violation is the one it raises."""
+
+    def test_bitwise_equal_to_loop(self):
+        rng = np.random.default_rng(37)
+        cases = [(build_example("ex2.1"), NormKind.TWO, 8),
+                 (build_example("ex2.1"), NormKind.ONE, 12),
+                 (scalar_tridiag(1, 0.0, 2.0, 0.0), NormKind.TWO, 3),
+                 (scalar_tridiag(3, 3.0, 1.0, 0.0), NormKind.TWO, 2),
+                 (scalar_tridiag(4, 0.0, 1.0, 3.0), NormKind.INF, 3)]
+        for k in range(24):
+            kind = ALL_KINDS[k % 4]
+            n = int(rng.integers(1, 13))
+            a = random_dominant_tridiag(rng, n, 1 + k % 3, kind, target=(0.5, 0.9, 0.99)[k % 3])
+            cases.append((a, kind, None if k % 5 else n + 2))
+        for a, kind, t_max in cases:
+            table = compute_tau_omega(a, kind, t_max)
+            tau, omega = loop_tau_omega(a, kind, t_max)
+            assert table.tau.tobytes() == tau.tobytes()
+            assert table.omega.tobytes() == omega.tobytes()
+
+    def test_same_first_violation(self):
+        rng = np.random.default_rng(41)
+        seen = set()
+        for trial in range(400):
+            n = int(rng.integers(2, 9))
+            couplings = rng.uniform(0.0, 1.3, (2, n - 1)) * (rng.random((2, n - 1)) < 0.85)
+            a = scalar_rows(np.ones(n), couplings[0], couplings[1])
+            try:
+                expected = loop_tau_omega(a, NormKind.TWO)
+            except DominanceViolation as exc:
+                with pytest.raises(DominanceViolation) as got:
+                    compute_tau_omega(a, NormKind.TWO)
+                assert (got.value.row, got.value.step, str(got.value)) == (
+                    exc.row, exc.step, str(exc))
+                seen.add((str(exc).split()[0], exc.step > 1))
+            else:
+                table = compute_tau_omega(a, NormKind.TWO)
+                assert (table.tau.tobytes(), table.omega.tobytes()) == tuple(
+                    x.tobytes() for x in expected)
+        assert seen == {("tau", False), ("tau", True), ("omega", False), ("omega", True)}
+
+    def test_tau_before_omega_in_one_row(self):
+        # Row 2 fails both its tau and its omega denominator at step 1.
+        a = scalar_rows([1.0, 1.0, 1.0], [2.0, 0.5], [0.5, 2.0])
+        with pytest.raises(DominanceViolation, match="^tau denominator") as exc:
+            compute_tau_omega(a, NormKind.TWO)
+        assert (exc.value.row, exc.value.step) == (2, 1)
 
 
 class TestChains:
@@ -336,6 +430,75 @@ class TestCsvLoopReference:
             "1,2,1e-300,0.25,1,inf",
             "2,1,inf,nan,0,2",
             "2,2,0.10000000000000001,-0,1,0.33333333333333331"]
+
+
+def write_steps(reports, tmp_path):
+    """Write the reports in order, each reusing the previous one's text as
+    run_bounds_chain does, and check every file against the loop."""
+    text = None
+    files = []
+    for k, rep in enumerate(reports):
+        p = tmp_path / f"bounds_s{k}.csv"
+        text = rep.write_csv(p, text)
+        assert p.read_bytes() == loop_bounds_csv(rep).encode()
+        files.append(p.read_bytes())
+    return files
+
+
+def hand_report(upper, z_norms=None, e_upper=None):
+    n = upper.shape[0]
+    return BoundsReport(
+        t=1, norm_kind=NormKind.TWO, upper=np.asarray(upper, dtype=float), lower=np.ones(n),
+        diag_upper_valid=np.isfinite(np.diag(upper)), z_norms=z_norms, e_upper=e_upper,
+        e_lower=None, max_eu=None, max_el=None, rho1=0.5, rho2=0.5, anchored_on_inverse=True)
+
+
+class TestCsvStepReuse:
+    """Each step's bounds_t<T>.csv keeps the previous step's text only
+    where the bits repeat, and stays byte for byte the per-cell loop's."""
+
+    def test_run_bounds_chain_every_step(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cases = ((random_dominant_tridiag(rng, 20, 2, NormKind.TWO, target=0.5), NormKind.TWO),
+                 (random_dominant_tridiag(rng, 9, 3, NormKind.FRO), NormKind.FRO),
+                 (scalar_tridiag(5, -1.0, 2.0, -1.0), NormKind.TWO))
+        for k, (a, kind) in enumerate(cases):
+            chain = run_bounds_chain(a, kind, tmp_path / f"case{k}", ("bounds",))
+            assert sorted(chain.reports) == list(range(1, a.n))
+            for t, rep in chain.reports.items():
+                assert chain.artifacts[f"bounds_t{t}"].read_bytes() == loop_bounds_csv(rep).encode()
+        # The scalar case's step 1 has an invalid diagonal bound (valid = 0);
+        # step 2 makes it finite again.
+        rows = [(tmp_path / "case2" / f"bounds_t{t}.csv").read_text().splitlines()[13].split(",")
+                for t in (1, 2)]
+        assert rows[0][:2] == rows[1][:2] == ["3", "3"]
+        assert rows[0][3:] == ["inf", "0", "nan"] and rows[1][4] == "1"
+
+    def test_later_steps_repeat(self, tmp_path):
+        rng = np.random.default_rng(5)
+        a = random_dominant_tridiag(rng, 20, 2, NormKind.TWO, target=0.5)
+        z = invert_block_tridiagonal(a)
+        table = compute_tau_omega(a, NormKind.TWO)
+        files = write_steps([compute_bounds(a, z, table, t) for t in range(1, 20)], tmp_path)
+        # Steps 12..19 repeat bitwise: every file from bounds_t12 on is equal.
+        assert files[11:] == [files[11]] * 8 and files[10] != files[11]
+
+    def test_signed_zero_and_infinity_flips(self, tmp_path):
+        # Between steps each float column has a place that flips 0.0 <-> -0.0
+        # (printed 0 and -0), u and E_u one that flips inf <-> -inf (both
+        # printed inf); NaN repeats, and the size and missing columns change.
+        def rep(zero, inf, z_zero):
+            upper = np.array([[1.5, zero], [inf, np.nan]])
+            z = np.array([[z_zero, 0.25], [np.nan, 1e-300]])
+            return hand_report(upper, z, np.array([[zero, -inf], [np.nan, z_zero]]))
+
+        a, b = rep(0.0, np.inf, -0.0), rep(-0.0, -np.inf, 0.0)
+        wide = hand_report(np.array([[0.0, 1.0, -0.0], [2.0, np.inf, 3.0], [0.5, 0.5, 0.5]]))
+        files = write_steps([a, b, a, b, b, wide, a, hand_report(a.upper), a], tmp_path)
+        assert files[0].splitlines()[1:] == [b"1,1,-0,1.5,1,0", b"1,2,0.25,0,1,inf",
+                                             b"2,1,nan,inf,0,nan", b"2,2,1e-300,nan,0,-0"]
+        assert files[1].splitlines()[1:] == [b"1,1,0,1.5,1,-0", b"1,2,0.25,-0,1,inf",
+                                             b"2,1,nan,inf,0,nan", b"2,2,1e-300,nan,0,0"]
 
 
 class TestComputeBoundsLaplacian:

@@ -170,6 +170,119 @@ class TestValidation:
             read_matrix_file(write_doc(tmp_path, doc))
 
 
+def deep_doc():
+    """n = 3, m = 2 tridiagonal document with distinct entries."""
+    def block(k):
+        return [{"re": float(k + e), "im": -0.5 * e} for e in range(4)]
+    return {"schema_version": "1", "kind": "block_tridiagonal", "n": 3, "m": 2,
+            "blocks": {"A": [block(10 * k) for k in range(3)],
+                       "B": [block(1), block(2)], "C": [block(3), block(4)]}}
+
+
+class TestEntryErrorsDeep:
+    """An error anywhere in a block list names that entry's exact field."""
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "entry parts must be numbers"),
+        (None, "entry parts must be numbers"),
+        (True, "entry parts must be numbers"),
+        (float("nan"), "entry parts must be finite"),
+        (float("inf"), "entry parts must be finite"),
+        (float("-inf"), "entry parts must be finite"),
+        (10 ** 400, "entry parts must be finite"),
+    ])
+    def test_bad_value(self, tmp_path, value, message):
+        doc = deep_doc()
+        doc["blocks"]["B"][1][3]["im"] = value
+        with pytest.raises(MatrixFileError) as exc:
+            read_matrix_file(write_doc(tmp_path, doc))
+        assert exc.value.field_path == "$.blocks.B[1][3].im"
+        assert str(exc.value) == f"$.blocks.B[1][3].im: {message}"
+
+    def test_nan_and_infinity_literals(self, tmp_path):
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            doc = deep_doc()
+            doc["blocks"]["A"][2][1]["re"] = "@"
+            p = write_doc(tmp_path, doc)
+            p.write_text(p.read_text().replace('"@"', literal))
+            assert literal in p.read_text()
+            with pytest.raises(MatrixFileError, match="must be finite") as exc:
+                read_matrix_file(p)
+            assert exc.value.field_path == "$.blocks.A[2][1].re"
+
+    def test_extra_and_missing_key(self, tmp_path):
+        doc = deep_doc()
+        doc["blocks"]["C"][1][2]["note"] = 1.0
+        with pytest.raises(MatrixFileError, match=r"unknown field\(s\) \['note'\]") as exc:
+            read_matrix_file(write_doc(tmp_path, doc))
+        assert exc.value.field_path == "$.blocks.C[1][2]"
+        doc = deep_doc()
+        del doc["blocks"]["C"][1][2]["re"]
+        with pytest.raises(MatrixFileError, match=r"missing field\(s\) \['re'\]") as exc:
+            read_matrix_file(write_doc(tmp_path, doc))
+        assert exc.value.field_path == "$.blocks.C[1][2]"
+
+    def test_entry_and_block_shape(self, tmp_path):
+        doc = deep_doc()
+        doc["blocks"]["A"][1][3] = [1.0, 0.0]
+        with pytest.raises(MatrixFileError, match="expected an object") as exc:
+            read_matrix_file(write_doc(tmp_path, doc))
+        assert exc.value.field_path == "$.blocks.A[1][3]"
+        doc = deep_doc()
+        doc["blocks"]["B"][1] = doc["blocks"]["B"][1][:3]
+        with pytest.raises(MatrixFileError, match="expected a list of 4 entries") as exc:
+            read_matrix_file(write_doc(tmp_path, doc))
+        assert exc.value.field_path == "$.blocks.B[1]"
+
+    def test_general_grid_path(self, tmp_path):
+        block = [{"re": 1.0, "im": 0.0}] * 4
+        grid = [[block, block], [block, [{"re": 1.0, "im": 0.0}] * 3 + [{"re": 1.0, "im": "0"}]]]
+        doc = {"schema_version": "1", "kind": "general_block", "n": 2, "m": 2,
+               "blocks": {"grid": grid}}
+        with pytest.raises(MatrixFileError, match="must be numbers") as exc:
+            read_matrix_file(write_doc(tmp_path, doc))
+        assert exc.value.field_path == "$.blocks.grid[1][1][3].im"
+
+
+class TestEntryValuesExact:
+    """Entries parse to the bits float() gives them, integers and signed
+    zeros included."""
+
+    VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+              2 ** 53 + 1, -(2 ** 53 + 1), 0, 7, -3, 2 ** 63 + 1, 2 ** 64 + 3, 10 ** 300,
+              0.1, 1 / 3)
+
+    def read_entries(self, tmp_path, re, im):
+        """The entries of one m = len(re) block cycling through re and im."""
+        m = len(re)
+        block = [{"re": r, "im": i} for r, i in zip(re * m, im * m)]
+        doc = {"schema_version": "1", "kind": "general_block", "n": 1, "m": m,
+               "blocks": {"grid": [[block]]}}
+        return read_matrix_file(write_doc(tmp_path, doc)).blocks.ravel()
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    def test_mixed_values(self, tmp_path):
+        values = list(self.VALUES)
+        got = self.read_entries(tmp_path, values, values[::-1])
+        want_re = self.bits([float(v) for v in values] * len(values))
+        want_im = self.bits([float(v) for v in values[::-1]] * len(values))
+        assert np.array_equal(self.bits(got.real), want_re)
+        assert np.array_equal(self.bits(got.imag), want_im)
+
+    @pytest.mark.parametrize("values", [
+        [0, 1, -2, 2 ** 53 + 1],             # integers only
+        [2 ** 64 - 1, 2 ** 63, 2 ** 53 + 3, 1],   # past int64, unsigned
+        [-0.0, -0.0, 0.0, -0.0],             # signed zeros only
+    ])
+    def test_uniform_values(self, tmp_path, values):
+        got = self.read_entries(tmp_path, values, [-v for v in values])
+        assert np.array_equal(self.bits(got.real), self.bits([float(v) for v in values] * 4))
+        assert np.array_equal(self.bits(got.imag), self.bits([float(-v) for v in values] * 4))
+
+
 class TestJsonDump:
     def test_floats_17g(self):
         text = dump_json_text({"x": 0.1})
