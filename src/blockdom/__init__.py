@@ -3,9 +3,8 @@ inverse block norms, and block Gershgorin inclusion regions."""
 
 from .bounds import (BoundsReport, ChainFactors, DominanceViolation,
                      TauOmegaTable, compute_bounds, compute_chains,
-                     compute_tau_omega, decay_envelope)
-from .dominance import (Certificate, DominanceReport, Inconclusive,
-                        certify_nonsingular, check_row_block_dominance)
+                     compute_tau_omega)
+from .dominance import DominanceReport, check_row_block_dominance
 from .experiments import (EXPERIMENT_IDS, GOLDEN_TABLES, REFERENCE_EIGENVALUES,
                           ExperimentResult, ExperimentSpec, build_example,
                           run_experiment)
@@ -21,7 +20,6 @@ from .matrixio import (MatrixFileError, dump_json_text, read_matrix_file,
                        write_json_file, write_matrix_file)
 from .structures import (BlockTridiagonalMatrix, GeneralBlockMatrix,
                          block_rows, block_tridiag_from_stencils, build_random_diag,
-                         build_tridiag_toeplitz, kron_sum,
-                         left_scale_blockrows, tridiag_from_dense)
+                         build_tridiag_toeplitz, kron_sum, left_scale_blockrows)
 
 __version__ = "0.1.0"

@@ -341,23 +341,3 @@ def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse | None,
         e_upper=e_upper, e_lower=e_lower, max_eu=max_eu, max_el=max_el,
         rho1=rho1, rho2=rho2, anchored_on_inverse=anchor_from_inverse)
 
-
-def decay_envelope(table: TauOmegaTable, t: int, z_diag_norms) -> np.ndarray:
-    """Single-rate envelope rho1^(j-i) resp. rho2^(i-j) times ||Z_jj||.
-
-    Always at least as large as the per-row product bounds; the diagonal
-    is NaN since the envelope only covers off-diagonal blocks.
-    """
-    zd = np.asarray(z_diag_norms, dtype=float)
-    n = table.n
-    if zd.shape != (n,):
-        raise ValueError(f"need {n} diagonal norms, got shape {zd.shape}")
-    rho1, rho2 = table.rho(t)
-    env = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                env[i, j] = rho1 ** (j - i) * zd[j]
-            elif i > j:
-                env[i, j] = rho2 ** (i - j) * zd[j]
-    return env

@@ -1,4 +1,4 @@
-"""Row block diagonal dominance tests and the nonsingularity certificate.
+"""Row block diagonal dominance tests.
 
 Two row-wise conditions are computed per block row i:
 
@@ -7,7 +7,8 @@ Two row-wise conditions are computed per block row i:
 
 The norm-split condition implies the generalized one, and for 1x1 blocks
 both reduce to classical row diagonal dominance. Strict generalized
-dominance certifies that the whole matrix is nonsingular.
+dominance (``DominanceReport.strict``) certifies that the whole matrix is
+nonsingular.
 """
 from __future__ import annotations
 
@@ -39,22 +40,6 @@ class DominanceReport:
             "strict": self.strict,
             "fv_dominant": self.fv_dominant,
         }
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Proof of nonsingularity by strict row block diagonal dominance."""
-
-    report: DominanceReport
-    reason: str
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    """The dominance test did not certify nonsingularity."""
-
-    report: DominanceReport | None
-    reason: str
 
 
 def diag_solves(a) -> np.ndarray:
@@ -101,19 +86,3 @@ def check_row_block_dominance(a, kind: NormKind,
         fv_dominant=nonsingular and bool(np.all(fv_margins <= 0.0)),
     )
 
-
-def certify_nonsingular(a, kind: NormKind) -> Certificate | Inconclusive:
-    """Certificate of nonsingularity when strict dominance holds."""
-    report = check_row_block_dominance(a, kind)
-    if report.singular_rows:
-        rows = ", ".join(str(r) for r in report.singular_rows)
-        return Inconclusive(report, f"diagonal block(s) singular in row(s) {rows}")
-    if report.strict:
-        worst = float(report.row_sums.max())
-        return Certificate(
-            report,
-            f"strict row block diagonal dominance: max row sum {worst:.6g} < 1")
-    worst_rows = [i + 1 for i, s in enumerate(report.row_sums) if s >= 1.0]
-    return Inconclusive(
-        report,
-        f"row sum(s) >= 1 in row(s) {', '.join(str(r) for r in worst_rows)}")

@@ -105,17 +105,6 @@ class GeneralBlockMatrix:
         n, m = self.n, self.m
         return self.blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m).copy()
 
-    @classmethod
-    def from_dense(cls, dense, m: int) -> "GeneralBlockMatrix":
-        a = np.asarray(dense, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if m < 1 or a.shape[0] % m != 0:
-            raise ValueError(f"dimension {a.shape[0]} is not a multiple of block size {m}")
-        n = a.shape[0] // m
-        grid = a.reshape(n, m, n, m).transpose(0, 2, 1, 3)
-        return cls(blocks=grid)
-
 
 def block_rows(a) -> tuple[np.ndarray, np.ndarray]:
     """Split a block matrix into block rows: the (n, m, m) diagonal blocks
@@ -132,23 +121,6 @@ def block_rows(a) -> tuple[np.ndarray, np.ndarray]:
         offs[idx, idx] = 0.0
         return a.blocks[idx, idx], offs
     raise TypeError(f"unsupported matrix type {type(a).__name__}")
-
-
-def tridiag_from_dense(dense, m: int) -> BlockTridiagonalMatrix:
-    """Partition a dense matrix into m-by-m blocks; fails if any block
-    outside the three central block diagonals is nonzero."""
-    g = GeneralBlockMatrix.from_dense(dense, m)
-    n = g.n
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1 and np.any(g.blocks[i, j] != 0):
-                raise ValueError(f"block ({i + 1}, {j + 1}) outside the tridiagonal band is nonzero")
-    diag = np.asarray([g.blocks[i, i] for i in range(n)])
-    sup = (np.asarray([g.blocks[i, i + 1] for i in range(n - 1)])
-           if n > 1 else np.zeros((0, m, m), dtype=np.complex128))
-    sub = (np.asarray([g.blocks[i + 1, i] for i in range(n - 1)])
-           if n > 1 else np.zeros((0, m, m), dtype=np.complex128))
-    return BlockTridiagonalMatrix(diag=diag, sup=sup, sub=sub)
 
 
 def build_tridiag_toeplitz(k: int, sub, diag, sup) -> np.ndarray:
@@ -178,8 +150,11 @@ def kron_sum(t) -> BlockTridiagonalMatrix:
     if not np.array_equal(a, build_tridiag_toeplitz(k, sub, a[0, 0], sup)):
         raise ValueError("kron_sum needs a Toeplitz tridiagonal input")
     eye = np.eye(k, dtype=np.complex128)
-    dense = np.kron(a, eye) + np.kron(eye, a)
-    return tridiag_from_dense(dense, k)
+    # Blocks are sliced out of the dense sum, which keeps the signed zeros
+    # that c*I blocks built directly would not.
+    g = (np.kron(a, eye) + np.kron(eye, a)).reshape(k, k, k, k).transpose(0, 2, 1, 3)
+    i = np.arange(k)
+    return BlockTridiagonalMatrix(diag=g[i, i], sup=g[i[:-1], i[1:]], sub=g[i[1:], i[:-1]])
 
 
 def block_tridiag_from_stencils(n: int, m: int, sub_stencil, diag_stencil,

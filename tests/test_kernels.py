@@ -206,17 +206,40 @@ class TestEigenvaluesSmall:
         with pytest.raises(ValueError):
             eigenvalues_small(np.eye(65))
 
-    def test_inexact_eigenvector_refined(self, monkeypatch):
-        # An eigenvector off by 1e-3 misses the residual target; inverse
-        # iteration at the exact (singular) shift must recover it.
+    def test_returns_eig_values_unchanged(self, monkeypatch):
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
         vals, vecs = np.linalg.eig(a)
-        monkeypatch.setattr(np.linalg, "eig", lambda _: (vals, vecs + 1e-3))
-        assert np.array_equal(eigenvalues_small(a), vals)
+        monkeypatch.setattr(np.linalg, "eig", lambda _: (vals, vecs))
+        assert eigenvalues_small(a) is vals
+
+    def test_inexact_eigenvector_raises(self, monkeypatch):
+        # Only the second eigenvector is off, by 1e-3 in one entry: far
+        # above the 1e-8 residual target. The error names that pair.
+        a = np.array([[2.0, 1.0], [0.0, 3.0]])
+        vals, vecs = np.linalg.eig(a)
+        bad = vecs.copy()
+        bad[0, 1] += 1e-3
+        monkeypatch.setattr(np.linalg, "eig", lambda _: (vals, bad))
+        with pytest.raises(ConvergenceError, match="eigenpair 1 residual"):
+            eigenvalues_small(a)
 
     def test_wrong_eigenvalue_raises(self, monkeypatch):
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
         vals, vecs = np.linalg.eig(a)
         monkeypatch.setattr(np.linalg, "eig", lambda _: (vals + 1e-6, vecs))
         with pytest.raises(ConvergenceError, match="eigenpair 0"):
-            eigenvalues_small(a, max_iter=5)
+            eigenvalues_small(a)
+
+    def test_nan_residual_raises(self, monkeypatch):
+        a = np.array([[2.0, 1.0], [0.0, 3.0]])
+        vals, vecs = np.linalg.eig(a)
+        monkeypatch.setattr(np.linalg, "eig", lambda _: (vals, np.full_like(vecs, np.nan)))
+        with pytest.raises(ConvergenceError, match="eigenpair 0"):
+            eigenvalues_small(a)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eigenvalues_small(np.eye(2))

@@ -4,7 +4,7 @@ import pytest
 from blockdom import (BlockTridiagonalMatrix, GeneralBlockMatrix, NormKind,
                       block_tridiag_from_stencils, build_random_diag,
                       build_tridiag_toeplitz, check_row_block_dominance,
-                      kron_sum, left_scale_blockrows, tridiag_from_dense)
+                      kron_sum, left_scale_blockrows)
 
 from helpers import random_dominant_tridiag
 
@@ -51,6 +51,25 @@ class TestKronSum:
         eye = np.eye(4)
         assert np.array_equal(dense, np.kron(t, eye) + np.kron(eye, t))
 
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_blocks_bitwise_match_kron_oracle(self, k):
+        # array_equal counts -0.0 == 0.0; the bits tell them apart. The
+        # dense sum holds -0.0 where -1 * 0 meets +0 (ex2.1's coupling
+        # blocks), which c*I blocks built directly would lose.
+        for t in (build_tridiag_toeplitz(k, -1.0, 2.0, -1.0),
+                  build_tridiag_toeplitz(k, -110.0, 209.999, -99.999)):
+            a = kron_sum(t)
+            eye = np.eye(k)
+            dense = np.kron(t, eye) + np.kron(eye, t)
+            for i in range(k):
+                block = dense[i * k:(i + 1) * k, i * k:(i + 1) * k]
+                assert np.array_equal(a.diag[i].view(np.uint64), block.view(np.uint64))
+            for i in range(k - 1):
+                sup = dense[i * k:(i + 1) * k, (i + 1) * k:(i + 2) * k]
+                sub = dense[(i + 1) * k:(i + 2) * k, i * k:(i + 1) * k]
+                assert np.array_equal(a.sup[i].view(np.uint64), sup.view(np.uint64))
+                assert np.array_equal(a.sub[i].view(np.uint64), sub.view(np.uint64))
+
     def test_rejects_non_toeplitz(self):
         t = build_tridiag_toeplitz(3, -1.0, 2.0, -1.0)
         t[0, 0] = 5.0
@@ -74,30 +93,12 @@ class TestDenseRoundTrips:
         assert dense.shape == (81, 81)
         assert np.array_equal(dense, dense.T)
 
-    def test_tridiag_from_dense_round_trip(self):
-        rng = np.random.default_rng(20)
-        a = random_dominant_tridiag(rng, 4, 3, NormKind.INF)
-        b = tridiag_from_dense(a.to_dense(), 3)
-        assert np.array_equal(a.diag, b.diag)
-        assert np.array_equal(a.sup, b.sup)
-        assert np.array_equal(a.sub, b.sub)
-
-    def test_tridiag_from_dense_rejects_off_band(self):
-        dense = np.eye(6)
-        dense[0, 5] = 1.0
-        with pytest.raises(ValueError, match="outside the tridiagonal band"):
-            tridiag_from_dense(dense, 2)
-
     def test_general_round_trip(self):
         rng = np.random.default_rng(21)
         dense = rng.standard_normal((6, 6))
-        g = GeneralBlockMatrix.from_dense(dense, 2)
+        g = GeneralBlockMatrix(blocks=dense.reshape(3, 2, 3, 2).transpose(0, 2, 1, 3))
         assert np.array_equal(g.to_dense(), dense)
         assert np.array_equal(g.blocks[1, 2], dense[2:4, 4:6])
-
-    def test_general_rejects_nondivisible(self):
-        with pytest.raises(ValueError):
-            GeneralBlockMatrix.from_dense(np.eye(7), 2)
 
     def test_tridiag_to_general(self):
         rng = np.random.default_rng(22)
