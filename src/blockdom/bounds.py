@@ -1,4 +1,4 @@
-"""A priori decay bounds on the block norms of the inverse.
+"""Decay bounds on the block norms of the inverse.
 
 For a row block diagonally dominant block tridiagonal matrix A with
 inverse Z, the coefficient tables tau and omega bound the off-diagonal
@@ -151,12 +151,6 @@ class ChainFactors:
     l_blocks: np.ndarray
     m_blocks: np.ndarray
 
-    def L(self, i: int) -> np.ndarray:
-        return self.l_blocks[i - 1]
-
-    def M(self, i: int) -> np.ndarray:
-        return self.m_blocks[i - 2]
-
 
 def compute_chains(a: BlockTridiagonalMatrix,
                    solves: np.ndarray | None = None) -> ChainFactors:
@@ -200,7 +194,8 @@ class BoundsReport:
     estimate of ||Z_ii|| and is +inf with ``diag_upper_valid[i-1]`` False
     when the estimate's denominator is nonpositive. ``e_upper`` holds
     (u - ||Z||)/u with NaN where undefined; ``max_eu`` is its largest
-    finite off-diagonal entry (None when there is none).
+    finite off-diagonal entry (None when there is none). ``max_el`` is the
+    largest E_l = (||Z_ii|| - lower_i)/||Z_ii|| over the rows with ||Z_ii|| > 0.
     """
 
     t: int
@@ -208,14 +203,12 @@ class BoundsReport:
     upper: np.ndarray
     lower: np.ndarray
     diag_upper_valid: np.ndarray
-    z_norms: np.ndarray | None
-    e_upper: np.ndarray | None
-    e_lower: np.ndarray | None
+    z_norms: np.ndarray
+    e_upper: np.ndarray
     max_eu: float | None
     max_el: float | None
     rho1: float
     rho2: float
-    anchored_on_inverse: bool
 
     @property
     def n(self) -> int:
@@ -231,18 +224,16 @@ class BoundsReport:
         }
 
     def write_csv(self, path, prev: CsvText | None = None) -> CsvText:
-        """One line per block (i, j), row-major; norm_Zij and E_u are nan
-        without the computed inverse, and valid is 0 where u_ij is not finite.
+        """One line per block (i, j), row-major; valid is 0 where u_ij is
+        not finite.
 
         ``prev`` is what the previous step's call returned: the cells whose
         bits it already holds keep its text. Returns this file's text for
         the next step.
         """
         n = self.n
-        missing = np.full((n, n), np.nan)
-        columns = np.stack([missing if self.z_norms is None else self.z_norms, self.upper,
-                            np.isfinite(self.upper),
-                            missing if self.e_upper is None else self.e_upper], axis=-1)
+        columns = np.stack([self.z_norms, self.upper, np.isfinite(self.upper), self.e_upper],
+                           axis=-1)
         if prev is None or len(prev.parts) != 2 * columns.size + 1:
             # valid takes a float slot: "%.17g" prints 1.0 and 0.0 as 1 and 0.
             parts = [","] * (2 * columns.size + 1)
@@ -268,20 +259,12 @@ class CsvText:
     bits: np.ndarray
 
 
-def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse | None,
-                   table: TauOmegaTable, t: int,
-                   anchor_from_inverse: bool = True) -> BoundsReport:
-    """Evaluate the decay bounds at refinement step t.
-
-    With ``anchor_from_inverse`` the off-diagonal bounds are anchored on
-    the computed ||Z_jj||; otherwise on the a priori diagonal upper
-    estimates, which makes the report independent of z (z may be None,
-    dropping the relative-error fields).
-    """
+def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse,
+                   table: TauOmegaTable, t: int) -> BoundsReport:
+    """Evaluate the decay bounds at refinement step t, with the
+    off-diagonal bounds anchored on the computed ||Z_jj||."""
     if not 1 <= t <= table.t_max:
         raise ValueError(f"step t={t} outside table range 1..{table.t_max}")
-    if anchor_from_inverse and z is None:
-        raise ValueError("anchor_from_inverse requires the computed inverse")
     n, m = a.n, a.m
     kind = table.norm_kind
     eye_n = identity_norm(m, kind)
@@ -301,8 +284,8 @@ def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse | None,
     diag_upper = np.full(n, np.inf)
     diag_upper[diag_valid] = eye_n / den[diag_valid]
 
-    z_norms = None if z is None else z.norm_grid(kind)
-    anchor = z_norms.diagonal() if anchor_from_inverse else diag_upper
+    z_norms = z.norm_grid(kind)
+    zd = z_norms.diagonal()
 
     # prods[i-1, j-1] is tau_i ... tau_{j-1} above the diagonal and
     # omega_{j+1} ... omega_i below it, multiplied in that order.
@@ -310,34 +293,21 @@ def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse | None,
     for k in range(n - 1):
         prods[k, k + 1:] = np.cumprod(tau[k:-1])
         prods[k + 1:, k] = np.cumprod(omega[k + 1:])
-    upper = np.full((n, n), np.inf)
-    finite = ~np.isinf(anchor)
-    upper[:, finite] = anchor[finite] * prods[:, finite]
+    # The inverse caps its entries, so no anchor ||Z_jj|| is infinite.
+    upper = zd * prods
     np.fill_diagonal(upper, diag_upper)
 
-    e_upper = None
-    e_lower = None
-    max_eu = None
-    max_el = None
-    if z is not None:
-        e_upper = np.full((n, n), np.nan)
-        pos = np.isfinite(upper) & (upper > 0.0)
-        e_upper[pos] = (upper[pos] - z_norms[pos]) / upper[pos]
-        e_upper[np.isfinite(upper) & (upper <= 0.0) & (z_norms == 0.0)] = 0.0
-        zd = z_norms.diagonal()
-        e_lower = np.full(n, np.nan)
-        pos = zd > 0.0
-        e_lower[pos] = (zd[pos] - lower[pos]) / zd[pos]
-        off = ~np.eye(n, dtype=bool) & np.isfinite(e_upper)
-        if off.any():
-            max_eu = float(e_upper[off].max())
-        if np.isfinite(e_lower).any():
-            max_el = float(np.nanmax(e_lower))
+    e_upper = np.full((n, n), np.nan)
+    pos = np.isfinite(upper) & (upper > 0.0)
+    e_upper[pos] = (upper[pos] - z_norms[pos]) / upper[pos]
+    e_upper[np.isfinite(upper) & (upper <= 0.0) & (z_norms == 0.0)] = 0.0
+    off = ~np.eye(n, dtype=bool) & np.isfinite(e_upper)
+    max_eu = float(e_upper[off].max()) if off.any() else None
+    pos = zd > 0.0
+    max_el = float(((zd[pos] - lower[pos]) / zd[pos]).max()) if pos.any() else None
 
     rho1, rho2 = table.rho(t)
     return BoundsReport(
         t=t, norm_kind=kind, upper=upper, lower=lower,
-        diag_upper_valid=diag_valid, z_norms=z_norms,
-        e_upper=e_upper, e_lower=e_lower, max_eu=max_eu, max_el=max_el,
-        rho1=rho1, rho2=rho2, anchored_on_inverse=anchor_from_inverse)
-
+        diag_upper_valid=diag_valid, z_norms=z_norms, e_upper=e_upper,
+        max_eu=max_eu, max_el=max_el, rho1=rho1, rho2=rho2)

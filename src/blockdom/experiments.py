@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import BoundsReport, TauOmegaTable, compute_bounds, compute_tau_omega
 from .dominance import DominanceReport, check_row_block_dominance, diag_solves
-from .gershgorin import ComparisonSummary, compare_regions, eval_grid
+from .gershgorin import ComparisonSummary, compare_regions, eval_grid, margins_at
 from .inverse import condition_estimate, diag_residual, invert_block_tridiagonal, residual
 from .kernels import NormKind, SingularError, eigenvalues_small
 from .matrixio import write_json_file, write_matrix_file
@@ -358,8 +358,8 @@ def run_region_chain(g, kind: NormKind, out: Path,
     and their node counts, written to grid.csv and region_summary.json.
 
     With ``reference`` eigenvalues, the computed eigenvalue nearest each
-    one is located on the grid, and its largest new-set margin over the
-    rows goes into ``eigen_cover`` and the summary.
+    one goes into ``eigen_cover`` and the summary, with its largest
+    new-set margin over the rows, evaluated at that eigenvalue itself.
     """
     grid = eval_grid(g, box, nx, ny, kind)
     summary = compare_regions(grid)
@@ -367,14 +367,11 @@ def run_region_chain(g, kind: NormKind, out: Path,
     cover = None
     if reference is not None:
         eigs = eigenvalues_small(g.to_dense())
-        res, ims = grid.re_values(), grid.im_values()
         cover = doc["eigen_cover"] = []
         for lam_ref in reference:
             lam = eigs[np.argmin(np.abs(eigs - lam_ref))]
-            ix = int(np.argmin(np.abs(res - lam.real)))
-            iy = int(np.argmin(np.abs(ims - lam.imag)))
             cover.append({"eigenvalue": lam,
-                          "margin_new": float(grid.margins_new[:, iy, ix].max())})
+                          "margin_new": max(q.margin_new for q in margins_at(g, lam, kind))})
 
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {"grid": out / "grid.csv", "region_summary": out / "region_summary.json"}

@@ -41,18 +41,6 @@ class ConvergenceError(RuntimeError):
     """An iterative kernel failed to reach its tolerance."""
 
 
-def as_block(a) -> np.ndarray:
-    """Validate a square matrix block and return it as complex128."""
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square 2-d block, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError("blocks must be at least 1x1")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("block contains non-finite entries")
-    return arr
-
-
 def batch_norm(stack, kind: NormKind) -> np.ndarray:
     """Norms of every block of an (..., m, m) stack, over the last two axes.
 
@@ -130,8 +118,14 @@ def eigenvalues_small(block) -> np.ndarray:
     Every eigenpair must satisfy ||A v - lambda v|| <= 1e-8 ||A||_2;
     otherwise ConvergenceError names the first pair that misses it.
     """
-    a = as_block(block)
+    a = np.asarray(block, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square 2-d block, got shape {a.shape}")
     m = a.shape[0]
+    if m == 0:
+        raise ValueError("blocks must be at least 1x1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("block contains non-finite entries")
     if m > MAX_EIG_DIM:
         raise ValueError(f"eigenvalues_small caps dimension at {MAX_EIG_DIM}, got {m}")
     try:

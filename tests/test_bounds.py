@@ -204,8 +204,8 @@ class TestTauOmegaLoopReference:
 class TestChains:
     def test_n2_scalar(self):
         ch = compute_chains(scalar_tridiag(2, -1.0, 2.0, -1.0))
-        assert ch.L(1)[0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert ch.M(2)[0, 0] == pytest.approx(-0.5, abs=1e-15)
+        assert ch.l_blocks[0][0, 0] == pytest.approx(-0.5, abs=1e-15)
+        assert ch.m_blocks[0][0, 0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_norms_bounded_by_tau_omega(self):
         a = build_example("ex2.1")
@@ -213,9 +213,9 @@ class TestChains:
         for kind in ALL_KINDS:
             table = compute_tau_omega(a, kind, 1)
             for i in range(1, a.n):
-                assert np_norm(ch.L(i), kind) <= table.tau_at(i, 1) + 1e-12
+                assert np_norm(ch.l_blocks[i - 1], kind) <= table.tau_at(i, 1) + 1e-12
             for i in range(2, a.n + 1):
-                assert np_norm(ch.M(i), kind) <= table.omega_at(i, 1) + 1e-12
+                assert np_norm(ch.m_blocks[i - 2], kind) <= table.omega_at(i, 1) + 1e-12
 
     def test_alternative_recurrence_reproduces_factors(self):
         a = build_example("ex2.1")
@@ -223,11 +223,11 @@ class TestChains:
         ch = compute_chains(a)
         for i in range(1, a.n):
             lhs = f.u[i - 1]
-            rhs = -ch.L(i) @ f.u[i]
+            rhs = -ch.l_blocks[i - 1] @ f.u[i]
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
         for i in range(2, a.n + 1):
             lhs = f.y[i - 1]
-            rhs = -ch.M(i) @ f.y[i - 2]
+            rhs = -ch.m_blocks[i - 2] @ f.y[i - 2]
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
 
     def test_singular_chain_block_named(self):
@@ -299,10 +299,10 @@ class TestInvalidDiagonal:
         assert 0.0 <= rep.max_eu < 1.0
 
 
-def loop_bounds(a, z, table, t, anchor_from_inverse):
+def loop_bounds(a, z, table, t):
     """The per-entry loops compute_bounds replaced, with the block norms
     taken afresh from the matrix: (upper, lower, diag_valid, e_upper,
-    e_lower)."""
+    max_el), max_el over the rows where E_l is defined."""
     n, kind = a.n, table.norm_kind
     eye_n = identity_norm(a.m, kind)
     na, nb, nc = (batch_norm(x, kind) for x in (a.diag, a.sup, a.sub))
@@ -318,8 +318,7 @@ def loop_bounds(a, z, table, t, anchor_from_inverse):
         den = 1.0 / inv_na[i - 1] - tail
         diag_upper[i - 1] = eye_n / den if den > 0.0 else np.inf
         diag_valid[i - 1] = den > 0.0
-    z_norms = None if z is None else z.norm_grid(kind)
-    anchor = z_norms.diagonal() if anchor_from_inverse else diag_upper
+    z_norms = z.norm_grid(kind)
     upper = np.empty((n, n))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -327,11 +326,9 @@ def loop_bounds(a, z, table, t, anchor_from_inverse):
                 prod = float(np.prod([table.tau_at(k, t) for k in range(i, j)]))
             else:
                 prod = float(np.prod([table.omega_at(k, t) for k in range(j + 1, i + 1)]))
-            upper[i - 1, j - 1] = np.inf if np.isinf(anchor[j - 1]) else anchor[j - 1] * prod
+            upper[i - 1, j - 1] = z_norms[j - 1, j - 1] * prod
         upper[i - 1, i - 1] = diag_upper[i - 1]
-    if z is None:
-        return upper, lower, diag_valid, None, None
-    e_upper, e_lower = np.full((n, n), np.nan), np.full(n, np.nan)
+    e_upper, max_el = np.full((n, n), np.nan), None
     for i in range(n):
         for j in range(n):
             u = upper[i, j]
@@ -340,8 +337,9 @@ def loop_bounds(a, z, table, t, anchor_from_inverse):
             elif np.isfinite(u) and z_norms[i, j] == 0.0:
                 e_upper[i, j] = 0.0
         if z_norms[i, i] > 0.0:
-            e_lower[i] = (z_norms[i, i] - lower[i]) / z_norms[i, i]
-    return upper, lower, diag_valid, e_upper, e_lower
+            e_lower = (z_norms[i, i] - lower[i]) / z_norms[i, i]
+            max_el = e_lower if max_el is None else max(max_el, e_lower)
+    return upper, lower, diag_valid, e_upper, max_el
 
 
 class TestLoopReference:
@@ -358,12 +356,12 @@ class TestLoopReference:
             z = invert_block_tridiagonal(a)
             table = compute_tau_omega(a, kind)
             for t in range(1, table.t_max + 1):
-                for anchored, zz in ((True, z), (False, z), (False, None)):
-                    rep = compute_bounds(a, zz, table, t, anchor_from_inverse=anchored)
-                    got = (rep.upper, rep.lower, rep.diag_upper_valid,
-                           rep.e_upper, rep.e_lower)
-                    for x, y in zip(got, loop_bounds(a, zz, table, t, anchored)):
-                        assert (x is None and y is None) or x.tobytes() == y.tobytes()
+                rep = compute_bounds(a, z, table, t)
+                *arrays, max_el = loop_bounds(a, z, table, t)
+                for x, y in zip((rep.upper, rep.lower, rep.diag_upper_valid, rep.e_upper),
+                                arrays):
+                    assert x.tobytes() == y.tobytes()
+                assert np.float64(rep.max_el).tobytes() == np.float64(max_el).tobytes()
 
 
 def loop_bounds_csv(rep):
@@ -378,11 +376,10 @@ def loop_bounds_csv(rep):
     lines = ["i,j,norm_Zij,u_ij,valid,E_u"]
     for i in range(rep.n):
         for j in range(rep.n):
-            nz = float(rep.z_norms[i, j]) if rep.z_norms is not None else float("nan")
-            eu = float(rep.e_upper[i, j]) if rep.e_upper is not None else float("nan")
             valid = 1 if np.isfinite(rep.upper[i, j]) else 0
             lines.append("%d,%d,%s,%s,%d,%s" % (
-                i + 1, j + 1, fmt(nz), fmt(rep.upper[i, j]), valid, fmt(eu)))
+                i + 1, j + 1, fmt(rep.z_norms[i, j]), fmt(rep.upper[i, j]), valid,
+                fmt(rep.e_upper[i, j])))
     return "\n".join(lines) + "\n"
 
 
@@ -401,20 +398,17 @@ class TestCsvLoopReference:
             z = invert_block_tridiagonal(a)
             table = compute_tau_omega(a, kind)
             for t in range(1, table.t_max + 1):
-                for anchored, zz in ((True, z), (False, z), (False, None)):
-                    self.assert_same_bytes(
-                        compute_bounds(a, zz, table, t, anchor_from_inverse=anchored),
-                        tmp_path)
+                self.assert_same_bytes(compute_bounds(a, z, table, t), tmp_path)
 
     def test_invalid_diagonal(self, tmp_path):
         a = scalar_tridiag(5, -1.0, 2.0, -1.0)
         z = invert_block_tridiagonal(a)
         table = compute_tau_omega(a, NormKind.TWO, 4)
-        for zz in (z, None):
-            rep = compute_bounds(a, zz, table, 1, anchor_from_inverse=zz is not None)
-            assert not rep.diag_upper_valid.all()
-            self.assert_same_bytes(rep, tmp_path)
-        assert "3,3,nan,inf,0,nan" in (tmp_path / "bounds.csv").read_text()
+        rep = compute_bounds(a, z, table, 1)
+        assert not rep.diag_upper_valid.all()
+        self.assert_same_bytes(rep, tmp_path)
+        row33 = (tmp_path / "bounds.csv").read_text().splitlines()[13].split(",")
+        assert row33[:2] == ["3", "3"] and row33[3:] == ["inf", "0", "nan"]
 
     def test_negative_infinity_prints_inf(self, tmp_path):
         upper = np.array([[-np.inf, 0.25], [np.nan, -0.0]])
@@ -423,8 +417,7 @@ class TestCsvLoopReference:
             diag_upper_valid=np.array([False, True]),
             z_norms=np.array([[np.inf, 1e-300], [-np.inf, 0.1]]),
             e_upper=np.array([[np.nan, -np.inf], [2.0, 1.0 / 3.0]]),
-            e_lower=None, max_eu=None, max_el=None, rho1=0.5, rho2=0.5,
-            anchored_on_inverse=True)
+            max_eu=None, max_el=None, rho1=0.5, rho2=0.5)
         self.assert_same_bytes(rep, tmp_path)
         assert (tmp_path / "bounds.csv").read_text().splitlines()[1:] == [
             "1,1,inf,inf,0,nan",
@@ -447,11 +440,15 @@ def write_steps(reports, tmp_path):
 
 
 def hand_report(upper, z_norms=None, e_upper=None):
+    """A report with the given columns; norm_Zij and E_u default to NaN."""
     n = upper.shape[0]
+    missing = np.full((n, n), np.nan)
     return BoundsReport(
         t=1, norm_kind=NormKind.TWO, upper=np.asarray(upper, dtype=float), lower=np.ones(n),
-        diag_upper_valid=np.isfinite(np.diag(upper)), z_norms=z_norms, e_upper=e_upper,
-        e_lower=None, max_eu=None, max_el=None, rho1=0.5, rho2=0.5, anchored_on_inverse=True)
+        diag_upper_valid=np.isfinite(np.diag(upper)),
+        z_norms=missing if z_norms is None else z_norms,
+        e_upper=missing if e_upper is None else e_upper,
+        max_eu=None, max_el=None, rho1=0.5, rho2=0.5)
 
 
 class TestBoundValidity:
@@ -516,7 +513,8 @@ class TestCsvStepReuse:
     def test_signed_zero_and_infinity_flips(self, tmp_path):
         # Between steps each float column has a place that flips 0.0 <-> -0.0
         # (printed 0 and -0), u and E_u one that flips inf <-> -inf (both
-        # printed inf); NaN repeats, and the size and missing columns change.
+        # printed inf); NaN repeats, and the size changes, as do whole
+        # columns that turn NaN.
         def rep(zero, inf, z_zero):
             upper = np.array([[1.5, zero], [inf, np.nan]])
             z = np.array([[z_zero, 0.25], [np.nan, 1e-300]])
@@ -546,49 +544,11 @@ class TestComputeBoundsLaplacian:
         finite = np.isfinite(rep.e_upper)
         assert np.all(rep.e_upper[finite] >= -1e-12)
         assert np.all(rep.e_upper[finite] <= 1.0)
-        assert np.all(rep.e_lower >= -1e-12)
-        assert np.all(rep.e_lower <= 1.0)
-
-
-class TestAPrioriAnchor:
-    def test_no_inverse_needed(self):
-        a = scalar_tridiag(3, -1.0, 2.0, -1.0)
-        table = compute_tau_omega(a, NormKind.TWO, 2)
-        rep = compute_bounds(a, None, table, 2, anchor_from_inverse=False)
-        assert rep.z_norms is None and rep.e_upper is None
-        assert rep.max_eu is None
-        # Anchors are the diagonal upper estimates, so bounds still dominate
-        # the true inverse norms.
-        z = invert_block_tridiagonal(a)
-        nz = z.norm_grid(NormKind.TWO)
-        finite = np.isfinite(rep.upper)
-        assert np.all(rep.upper[finite] >= nz[finite] - 1e-12)
-
-    def test_at_least_as_large_as_computed_anchor(self):
-        rng = np.random.default_rng(61)
-        for trial in range(10):
-            a = random_dominant_tridiag(rng, 5, 2, NormKind.INF)
-            z = invert_block_tridiagonal(a)
-            table = compute_tau_omega(a, NormKind.INF, 4)
-            for t in (1, 4):
-                ap = compute_bounds(a, None, table, t, anchor_from_inverse=False)
-                comp = compute_bounds(a, z, table, t)
-                finite = np.isfinite(ap.upper)
-                assert np.all(ap.upper[finite] >= comp.upper[finite] * (1 - 1e-12))
-
-    def test_invalid_anchor_propagates(self):
-        a = scalar_tridiag(5, -1.0, 2.0, -1.0)
-        table = compute_tau_omega(a, NormKind.TWO, 4)
-        rep = compute_bounds(a, None, table, 1, anchor_from_inverse=False)
-        # Column 3's anchor is invalid at t=1, so its off-diagonal bounds
-        # are infinite as well.
-        assert np.all(np.isinf(rep.upper[:, 2]))
-
-    def test_missing_inverse_rejected(self):
-        a = scalar_tridiag(3, -1.0, 2.0, -1.0)
-        table = compute_tau_omega(a, NormKind.TWO, 1)
-        with pytest.raises(ValueError, match="requires the computed inverse"):
-            compute_bounds(a, None, table, 1)
+        zd = rep.z_norms.diagonal()
+        e_lower = (zd - rep.lower) / zd
+        assert np.all(e_lower >= -1e-12)
+        assert np.all(e_lower <= 1.0)
+        assert rep.max_el == e_lower.max()
 
 
 class TestReportOutputs:

@@ -305,6 +305,14 @@ class TestReproduce:
         assert main(["reproduce", "ex2.1", "--norm", "fro",
                      "--output", str(tmp_path / "fro")]) == 4
 
+    @pytest.mark.parametrize("grid", [("--nx", "7", "--ny", "7"),
+                                      ("--nx", "10", "--ny", "10", "--norm", "inf")])
+    def test_coarse_grid_covers_every_eigenvalue(self, grid, tmp_path, capsys):
+        # No node of these grids lies near enough to every eigenvalue for
+        # its margin to reach 1; the cover is read at the eigenvalue itself.
+        assert main(["reproduce", "ex3.1a", *grid, "--output", str(tmp_path / "o")]) == 0
+        assert "PASS: every eigenvalue covered" in capsys.readouterr().out
+
     def test_seeded_example_needs_seed(self, tmp_path, capsys):
         assert main(["reproduce", "ex2.3", "--output", str(tmp_path / "o")]) == 1
         assert "--seed" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import os
 from concurrent.futures import Future
 
@@ -117,6 +118,18 @@ class TestEigenvalueCoverage:
             for lam in refs:
                 best = max(q.margin_new for q in margins_at(a, lam, NormKind.TWO))
                 assert best >= 1.0 - 1e-3
+
+    def test_region_chain_cover_is_margin_at_eigenvalue(self, tmp_path):
+        from blockdom.experiments import REFERENCE_EIGENVALUES, run_region_chain
+        for exp_id, kind in (("ex3.1a", NormKind.TWO), ("ex3.1b", NormKind.INF)):
+            g = build_example(exp_id)
+            out = tmp_path / exp_id
+            chain = run_region_chain(g, kind, out, None, 7, 7, REFERENCE_EIGENVALUES[exp_id])
+            written = json.loads((out / "region_summary.json").read_text())["eigen_cover"]
+            assert len(chain.eigen_cover) == len(written) == 4
+            for cover, doc in zip(chain.eigen_cover, written):
+                best = max(q.margin_new for q in margins_at(g, cover["eigenvalue"], kind))
+                assert cover["margin_new"] == doc["margin_new"] == best
 
     def test_random_general_spectra_covered(self):
         rng = np.random.default_rng(73)
