@@ -293,7 +293,8 @@ def compute_bounds(a: BlockTridiagonalMatrix, z: BlockInverse,
     for k in range(n - 1):
         prods[k, k + 1:] = np.cumprod(tau[k:-1])
         prods[k + 1:, k] = np.cumprod(omega[k + 1:])
-    # The inverse caps its entries, so no anchor ||Z_jj|| is infinite.
+    # The inverse caps its entries at the largest float over m, so no anchor
+    # ||Z_jj|| is infinite.
     upper = zd * prods
     np.fill_diagonal(upper, diag_upper)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import NormKind, batch_norm, singular_mask, solve_blocks
+from .kernels import NormKind, batch_norm, require_nonsingular, singular_mask, solve_row
 from .structures import block_rows
 
 
@@ -43,17 +43,18 @@ class DominanceReport:
 
 
 def diag_solves(a) -> np.ndarray:
-    """The (n, k+1, m, m) stack A_ii^{-1}[off-diagonal blocks of row i, I],
-    with the row's blocks as ``block_rows`` splits them, from one stacked
-    solve. Raises SingularError naming the first singular A_i."""
+    """The C-contiguous (n, k+1, m, m) stack A_ii^{-1}[off-diagonal blocks
+    of row i, I], with the row's blocks as ``block_rows`` splits them, from
+    one ``solve_row``. Raises SingularError naming the first singular A_i."""
     diag, offs = block_rows(a)
+    require_nonsingular(diag)
     return _solve_rows(diag, offs)
 
 
 def _solve_rows(diag: np.ndarray, offs: np.ndarray) -> np.ndarray:
     eye = np.broadcast_to(np.eye(diag.shape[-1], dtype=np.complex128),
                           (diag.shape[0], 1) + diag.shape[1:])
-    return solve_blocks(diag[:, None], np.concatenate([offs, eye], axis=1))
+    return np.ascontiguousarray(solve_row(diag, np.concatenate([offs, eye], axis=1)))
 
 
 def check_row_block_dominance(a, kind: NormKind,

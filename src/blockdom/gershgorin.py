@@ -10,13 +10,14 @@ spectrum when unioned over rows, and for 1x1 blocks both collapse to the
 classical Gershgorin disks. Points where A_ii - z I is singular belong to
 both sets; their margins are +infinity.
 
-Grid evaluation batches the shifted blocks per row and runs stacked
-inverses/solves over fixed slices of GRID_CHUNK nodes, one thread per CPU
-(at most one per row and slice). Outside the two-norm, the SVD
-singularity test runs only on nodes whose inverse does not rule it out.
-LAPACK works on each matrix alone and every slice writes its own columns,
-so the margins are bitwise the same whatever the thread count or the
-slice size.
+Grid evaluation batches the shifted blocks per row and solves each slice
+of nodes with one ``solve_row``, which factors every shifted block once
+for all of the row's blocks. A slice holds about GRID_CHUNK solved
+blocks, with one thread per CPU (at most one per row and slice). Outside
+the two-norm, the SVD singularity test runs only on nodes whose inverse
+does not rule it out. LAPACK works on each matrix alone and every slice
+writes its own columns, so the margins are bitwise the same whatever the
+thread count or the slice size.
 """
 from __future__ import annotations
 
@@ -27,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (SINGULAR_SHIFT_RTOL, NormKind, batch_norm, eigenvalues_small, norm,
-                      singular_mask)
+                      singular_mask, solve_row)
 from .matrixio import fill_floats
 from .structures import block_rows
 
-# Nodes per stacked SVD/solve: one in-flight slice holds about
-# GRID_CHUNK * m * m * 16 bytes of shifted blocks, whatever the grid size.
+# Solved blocks per slice: a block row with k off-diagonal slots is walked
+# in slices of GRID_CHUNK // (k + 1) nodes, so one in-flight slice holds
+# about GRID_CHUNK * m * m * 16 bytes of solved blocks, whatever the grid.
 GRID_CHUNK = 4096
 
 
@@ -150,36 +152,43 @@ def _row_margins(diag: np.ndarray, offs: np.ndarray, zs: np.ndarray,
     shifted = np.broadcast_to(diag, (npts, m, m)).copy()
     idx = np.arange(m)
     shifted[:, idx, idx] -= zs[:, None]
+    # One solve_row per slice gives S^{-1} B_ij for every nonzero block,
+    # and S^{-1} itself as a last block outside the two-norm.
+    x = inv_norms = None
     if kind is NormKind.TWO:
+        # (j, m, m) even when the row has no nonzero off-diagonal block.
+        rhs = np.asarray(offs, dtype=np.complex128).reshape(-1, m, m)
         svals = np.linalg.svd(shifted, compute_uv=False)
         ok = ~singular_mask(svals)
-        inv_norms = 1.0 / svals[ok, -1]
+        with np.errstate(divide="ignore"):
+            inv_norms = 1.0 / svals[:, -1]
     else:
         # The SVD test runs only on suspect nodes. cond_2 <= m * cond in the
         # one, inf and Frobenius norms, so a node whose product stays below
         # 1e-2 / SINGULAR_SHIFT_RTOL passes it by a factor of 100; NaN and
-        # inf are suspect, and so is a whole slice that LAPACK cannot invert.
+        # inf are suspect, and so is a whole slice that LAPACK cannot solve.
+        rhs = offs + [np.eye(m, dtype=np.complex128)]
         try:
-            inv_norms = batch_norm(np.linalg.inv(shifted), kind)
+            x = solve_row(shifted, rhs)
+            inv_norms = batch_norm(x[:, -1], kind)
             suspect = ~(m * batch_norm(shifted, kind) * inv_norms
                         < 1e-2 / SINGULAR_SHIFT_RTOL)
         except np.linalg.LinAlgError:
-            inv_norms, suspect = None, np.ones(npts, dtype=bool)
+            suspect = np.ones(npts, dtype=bool)
         ok = np.ones(npts, dtype=bool)
         if suspect.any():
             ok[suspect] = ~singular_mask(np.linalg.svd(shifted[suspect], compute_uv=False))
-        inv_norms = (batch_norm(np.linalg.inv(shifted[ok]), kind) if inv_norms is None
-                     else inv_norms[ok])
+    if x is None:
+        # Singular nodes are solved against I instead; their margins stay +inf.
+        shifted[~ok] = np.eye(m)
+        x = solve_row(shifted, rhs)
+    if inv_norms is None:
+        inv_norms = batch_norm(x[:, -1], kind)
 
     margins_new = np.full(npts, np.inf)
     margins_fv = np.full(npts, np.inf)
-    if ok.any():
-        sub = shifted[ok]
-        margins_fv[ok] = inv_norms * radius
-        total = np.zeros(sub.shape[0])
-        for b in offs:
-            total += batch_norm(np.linalg.solve(sub, b), kind)
-        margins_new[ok] = total
+    margins_fv[ok] = inv_norms[ok] * radius
+    margins_new[ok] = sum(batch_norm(x[:, j], kind)[ok] for j in range(len(offs)))
     return margins_new, margins_fv
 
 
@@ -220,8 +229,9 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
     """Evaluate both margins for every block row on an nx-by-ny grid.
 
     ``box`` is (re_min, re_max, im_min, im_max); None selects auto_box.
-    Each block row is evaluated in slices of GRID_CHUNK nodes; the
-    (row, slice) tasks are spread over min(CPU count, task count) threads.
+    Each block row is evaluated in slices of GRID_CHUNK // (k + 1) nodes
+    for k off-diagonal slots per row; the (row, slice) tasks are spread
+    over min(CPU count, task count) threads.
     """
     diag, offs = block_rows(a)
     if box is None:
@@ -242,10 +252,13 @@ def eval_grid(a, box: tuple[float, float, float, float] | None,
     margins_new = np.empty((n, zs.size))
     margins_fv = np.empty((n, zs.size))
 
+    # A node holds one solved block per off-diagonal slot and one for S^{-1}.
+    chunk = max(1, GRID_CHUNK // (offs.shape[1] + 1))
+
     def fill(i: int, s: slice) -> None:
         margins_new[i, s], margins_fv[i, s] = _row_margins(diag[i], offs[i], zs[s], kind)
 
-    slices = [slice(k, k + GRID_CHUNK) for k in range(0, zs.size, GRID_CHUNK)]
+    slices = [slice(k, k + chunk) for k in range(0, zs.size, chunk)]
     tasks = [(i, s) for i in range(n) for s in slices]
     with ThreadPoolExecutor(min(os.cpu_count() or 1, len(tasks))) as pool:
         for f in [pool.submit(fill, i, s) for i, s in tasks]:

@@ -30,12 +30,13 @@ MAX_BLOCK_MAGNITUDE = 1e150
 
 
 class RecurrenceOverflowError(RuntimeError):
-    """A recurrence iterate exceeded MAX_BLOCK_MAGNITUDE."""
+    """An entry exceeded ``limit``: MAX_BLOCK_MAGNITUDE for a four-sequence
+    iterate, the largest float over m for the chain inverse."""
 
-    def __init__(self, step: str, magnitude: float):
+    def __init__(self, step: str, magnitude: float, limit: float):
+        cap = f" exceeds {limit:.4g}" if np.isfinite(magnitude) else ""
         super().__init__(
-            f"recurrence overflow at {step}: max entry magnitude {magnitude:.3e} "
-            f"exceeds {MAX_BLOCK_MAGNITUDE:.0e}")
+            f"recurrence overflow at {step}: max entry magnitude {magnitude:.3e}{cap}")
         self.step = step
         self.magnitude = magnitude
 
@@ -102,7 +103,7 @@ class BlockInverse:
 def _guard(block: np.ndarray, step: str) -> np.ndarray:
     mag = float(np.abs(block).max())
     if mag > MAX_BLOCK_MAGNITUDE:
-        raise RecurrenceOverflowError(step, mag)
+        raise RecurrenceOverflowError(step, mag, MAX_BLOCK_MAGNITUDE)
     return block
 
 
@@ -184,7 +185,9 @@ def invert_block_tridiagonal(a: BlockTridiagonalMatrix,
     diagonal and one per block row below it.
 
     Raises SingularError naming the first singular A_i, T_i, W_i or S_i,
-    and RecurrenceOverflowError if an entry exceeds MAX_BLOCK_MAGNITUDE.
+    and RecurrenceOverflowError naming Z if an entry exceeds the largest
+    float over m, past which a block norm of Z can overflow; nothing grows
+    along the chains, so no tighter cap applies.
     ``solves`` is ``diag_solves(a)`` when the caller has it already.
     """
     n, m = a.n, a.m
@@ -202,7 +205,13 @@ def invert_block_tridiagonal(a: BlockTridiagonalMatrix,
         z[i, i + 1:] = -l[i] @ z[i + 1, i + 1:]
     for i in range(1, n):
         z[i, :i] = -mm[i - 1] @ z[i - 1, :i]
-    return BlockInverse(blocks=_guard(z, "Z"))
+    # A block's one, inf, Frobenius and two-norm are each at most m times
+    # its largest entry, so under this cap every ||Z_ij|| is finite.
+    limit = np.finfo(np.float64).max / m
+    mag = float(np.abs(z).max())
+    if not mag <= limit:
+        raise RecurrenceOverflowError("Z", mag, limit)
+    return BlockInverse(blocks=z)
 
 
 def residual(a: BlockTridiagonalMatrix, z: BlockInverse, kind: NormKind) -> float:

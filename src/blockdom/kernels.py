@@ -3,9 +3,10 @@
 Everything here operates on small square complex128 blocks, one at a
 time or stacked as (..., m, m) arrays. Norms and stacked solves are
 single numpy LAPACK calls over the whole stack: ``batch_norm`` is the one
-batched norm, and ``solve_blocks`` the one stacked solve and inverse,
-behind one scale-invariant singularity test on the singular values. A
-singular block surfaces as a typed SingularError naming the block.
+batched norm, ``solve_blocks`` the one stacked solve and inverse, behind
+one scale-invariant singularity test on the singular values, and
+``solve_row`` the one block-row solve. A singular block surfaces as a
+typed SingularError naming the block.
 """
 from __future__ import annotations
 
@@ -82,22 +83,44 @@ def singular_mask(svals: np.ndarray) -> np.ndarray:
     return svals[..., -1] <= SINGULAR_SHIFT_RTOL * svals[..., 0]
 
 
-def solve_blocks(a, b=None, name: str = "A", first: int | None = 1) -> np.ndarray:
-    """A_k^{-1} B_k for every block of the (..., m, m) stack ``a``, or the
-    inverses A_k^{-1} when ``b`` is None; one LAPACK call for the stack.
+def require_nonsingular(a, name: str = "A", first: int | None = 1) -> None:
+    """The singularity test on every block of the (..., m, m) stack ``a``.
 
-    Blocks are numbered from ``first``; if any fails the singularity
-    test, SingularError names the first as "{name}_{k} inversion", or as
-    "{name} inversion" when ``first`` is None.
+    Blocks are numbered from ``first``; if any fails, SingularError names
+    the first as "{name}_{k} inversion", or as "{name} inversion" when
+    ``first`` is None.
     """
-    a = np.asarray(a, dtype=np.complex128)
     bad = np.flatnonzero(singular_mask(np.linalg.svd(a, compute_uv=False)))
     if bad.size:
         label = name if first is None else f"{name}_{first + int(bad[0])}"
         raise SingularError(
             f"singular matrix: sigma_min <= {SINGULAR_SHIFT_RTOL:g} sigma_max",
             context=f"{label} inversion")
+
+
+def solve_blocks(a, b=None, name: str = "A", first: int | None = 1) -> np.ndarray:
+    """A_k^{-1} B_k for every block of the (..., m, m) stack ``a``, or the
+    inverses A_k^{-1} when ``b`` is None; one LAPACK call for the stack,
+    behind ``require_nonsingular(a, name, first)``."""
+    a = np.asarray(a, dtype=np.complex128)
+    require_nonsingular(a, name, first)
     return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
+
+
+def solve_row(a, blocks) -> np.ndarray:
+    """A_k^{-1} [X_1 ... X_j] for every block A_k of the (p, m, m) stack
+    ``a``, as a (p, j, m, m) view: ``blocks`` is (j, m, m), shared by every
+    A_k, or (p, j, m, m). The j blocks go side by side into one m-by-jm
+    right-hand side, so LAPACK factors each A_k once; each column is
+    solved as alone, so every block is bitwise ``np.linalg.solve(a, X)``,
+    and X = I gives ``np.linalg.inv(a)``. No singularity test: an exactly
+    singular A_k raises LinAlgError.
+    """
+    b = np.asarray(blocks, dtype=np.complex128)
+    p, j, m = a.shape[0], b.shape[-3], a.shape[-1]
+    rhs = np.moveaxis(b, -3, -2).reshape(b.shape[:-3] + (m, j * m))
+    x = np.linalg.solve(a, np.broadcast_to(rhs, (p, m, j * m)))
+    return x.reshape(p, m, j, m).transpose(0, 2, 1, 3)
 
 
 def identity_norm(m: int, kind: NormKind) -> float:

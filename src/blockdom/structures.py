@@ -57,22 +57,21 @@ class BlockTridiagonalMatrix:
     def to_dense(self) -> np.ndarray:
         n, m = self.n, self.m
         out = np.zeros((n * m, n * m), dtype=np.complex128)
-        for i in range(n):
-            out[i * m:(i + 1) * m, i * m:(i + 1) * m] = self.diag[i]
-        for i in range(n - 1):
-            out[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = self.sup[i]
-            out[(i + 1) * m:(i + 2) * m, i * m:(i + 1) * m] = self.sub[i]
+        self._fill(out.reshape(n, m, n, m).transpose(0, 2, 1, 3))
         return out
 
     def to_general(self) -> "GeneralBlockMatrix":
         n, m = self.n, self.m
         grid = np.zeros((n, n, m, m), dtype=np.complex128)
-        for i in range(n):
-            grid[i, i] = self.diag[i]
-        for i in range(n - 1):
-            grid[i, i + 1] = self.sup[i]
-            grid[i + 1, i] = self.sub[i]
+        self._fill(grid)
         return GeneralBlockMatrix(blocks=grid)
+
+    def _fill(self, grid: np.ndarray) -> None:
+        """Write the blocks into an (n, n, m, m) block grid (or a view)."""
+        i = np.arange(self.n)
+        grid[i, i] = self.diag
+        grid[i[:-1], i[1:]] = self.sup
+        grid[i[1:], i[:-1]] = self.sub
 
 
 @dataclass(frozen=True)

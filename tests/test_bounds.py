@@ -89,6 +89,19 @@ class TestTauOmegaLaplacian:
         assert np.abs(base.tau - scaled.tau).max() <= 1e-12
         assert np.abs(base.omega - scaled.omega).max() <= 1e-12
 
+    @pytest.mark.parametrize("kind", [NormKind.ONE, NormKind.INF, NormKind.TWO])
+    def test_power_of_two_scales_keep_bits(self, kind):
+        # 2^530 and 2^-530 scale every block exactly, so A_i^{-1} B_i and
+        # A_i^{-1} C_{i-1} do not change by a bit, and neither may tau/omega.
+        # (ex2.1 is not dominant in the Frobenius norm.)
+        a = build_example("ex2.1")
+        tables = [compute_tau_omega(BlockTridiagonalMatrix(
+            diag=s * a.diag, sup=s * a.sup, sub=s * a.sub), kind)
+            for s in (1.0, 2.0 ** 530, 2.0 ** -530)]
+        for t in tables[1:]:
+            assert np.array_equal(t.tau, tables[0].tau)
+            assert np.array_equal(t.omega, tables[0].omega)
+
 
 class TestTauOmegaErrors:
     def test_violation_row_and_step(self):

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockdom import (build_example, build_tridiag_toeplitz, kron_sum, read_matrix_file,
-                      write_matrix_file)
+from blockdom import (BlockTridiagonalMatrix, build_example, build_tridiag_toeplitz, kron_sum,
+                      read_matrix_file, write_matrix_file)
 from blockdom.cli import main
 
 from helpers import scalar_tridiag
@@ -141,6 +141,36 @@ class TestInvert:
         assert main(["invert", "--input", str(p),
                      "--output", str(tmp_path / "o")]) == 3
         assert "A_1 inversion" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-160, 2.0 ** -530])
+    def test_tiny_scale_is_no_overflow(self, tmp_path, scale):
+        # Scaling keeps ex2.1 strictly dominant; its inverse's entries
+        # reach about 1e160, which is finite, so both commands succeed.
+        a = build_example("ex2.1")
+        p = tmp_path / "m.json"
+        write_matrix_file(p, BlockTridiagonalMatrix(
+            diag=scale * a.diag, sup=scale * a.sup, sub=scale * a.sub))
+        assert main(["invert", "--input", str(p), "--output", str(tmp_path / "i")]) == 0
+        assert main(["bounds", "--input", str(p), "--output", str(tmp_path / "b"),
+                     "--t", "all"]) == 0
+        z = read_matrix_file(tmp_path / "i" / "inverse.json")
+        assert np.abs(z.blocks).max() > 1e150
+
+    def test_inverse_whose_block_norms_overflow(self, tmp_path, capsys):
+        # A_i = x [[1, 3], [0, 1]] with x = 2^-1022: Z_ii = [[1, -3], [0, 1]] / x
+        # has finite entries, but its second column sums to 2^1024 = inf, so
+        # the one-norm bounds would turn to NaN. Both commands exit 3 at Z.
+        x = 2.0 ** -1022
+        blk = np.array([[x, 3.0 * x], [0.0, x]], dtype=complex)
+        p = tmp_path / "m.json"
+        write_matrix_file(p, BlockTridiagonalMatrix(
+            diag=np.array([blk, blk]), sup=np.zeros((1, 2, 2)), sub=np.zeros((1, 2, 2))))
+        assert main(["invert", "--input", str(p), "--output", str(tmp_path / "i")]) == 3
+        assert main(["bounds", "--input", str(p), "--output", str(tmp_path / "b"),
+                     "--t", "all", "--norm", "one"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("recurrence overflow at Z: max entry magnitude 1.348e+308 "
+                         "exceeds 8.988e+307") == 2
 
     def test_single_block(self, tmp_path):
         p = write_scalar(tmp_path, "m.json", 0.0, 2.0, 0.0, n=1)

@@ -1,12 +1,14 @@
 import json
 import os
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from blockdom import (GeneralBlockMatrix, NormKind, RegionGrid, auto_box, block_rows,
-                      build_example, compare_regions, eval_grid, margins_at, norm)
+from blockdom import (BlockTridiagonalMatrix, GeneralBlockMatrix, NormKind, RegionGrid,
+                      auto_box, block_rows, build_example, compare_regions, eval_grid,
+                      margins_at, norm)
 from blockdom import gershgorin
 from blockdom.gershgorin import _row_margins
 from blockdom.kernels import batch_norm, singular_mask
@@ -208,7 +210,8 @@ class TestEvalGrid:
         monkeypatch.setattr(gershgorin, "_row_margins", spy)
         a = build_example("ex3.1a")
         eval_grid(a, (-1.0, 9.0, -4.0, 4.0), 300, 300, NormKind.ONE)
-        assert max(sizes) == gershgorin.GRID_CHUNK
+        # Two off-diagonal slots per row, plus S^{-1}: three blocks a node.
+        assert max(sizes) == gershgorin.GRID_CHUNK // 3
         assert sum(sizes) == 300 * 300 * len(block_rows(a)[0])
 
     def test_degenerate_box_rejected(self):
@@ -241,7 +244,8 @@ class TestEvalGrid:
 
     def test_pool_sized_by_tasks(self, monkeypatch):
         # ex2.1 at 24x24 is 9 rows of one slice; ex3.1a at 200x200 is 2 rows
-        # of 10 slices. The stand-in pool runs each task inline.
+        # of 30 slices of GRID_CHUNK // 3 nodes. The stand-in pool runs each
+        # task inline.
         sizes = []
 
         class InlinePool:
@@ -265,7 +269,43 @@ class TestEvalGrid:
             sizes.clear()
             eval_grid(build_example("ex2.1"), None, 24, 24, NormKind.ONE)
             eval_grid(build_example("ex3.1a"), None, 200, 200, NormKind.ONE)
-            assert sizes == [min(cpus, 9), min(cpus, 20)]
+            assert sizes == [min(cpus, 9), min(cpus, 60)]
+
+    def test_slice_memory_counts_blocks(self, monkeypatch):
+        # A dense 24-row matrix solves 25 blocks a node. Sized by nodes, a
+        # slice of GRID_CHUNK nodes would hold 25 times the per-slice bound
+        # of GRID_CHUNK * m * m * 16 bytes (the peak read 26 bounds); sized
+        # by blocks it holds one (the peak, with the matrix copies, read
+        # under 2).
+        monkeypatch.setattr(gershgorin, "GRID_CHUNK", 1024)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        a = random_general(np.random.default_rng(76), 24, 6)
+        tracemalloc.start()
+        try:
+            grid = eval_grid(a, (-1.0, 1.0, -1.0, 1.0), 32, 32, NormKind.ONE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = grid.margins_new.nbytes + grid.margins_fv.nbytes
+        assert peak - out <= 8 * 1024 * 6 * 6 * 16
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_nonsingular_slice_factors_once(self, monkeypatch, kind):
+        # ex2.1's row 2 has two off-diagonal blocks; every node of this box
+        # is nonsingular, so the slice is one stacked solve and no inverse.
+        calls = []
+
+        def spy(name):
+            fn = getattr(np.linalg, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        diag, offs = block_rows(build_example("ex2.1"))
+        zs = np.linspace(-1.0, 1.0, 50) + 20.0j
+        mn, mf = _row_margins(diag[1], offs[1], zs, kind)
+        assert np.all(np.isfinite(mn)) and np.all(np.isfinite(mf))
+        assert calls == ["solve"]
 
 
 def loop_row_margins(diag, offs, zs, kind):
@@ -345,6 +385,31 @@ class TestRowMarginsLoopReference:
     def test_tiny_scale(self, monkeypatch):
         a = GeneralBlockMatrix(blocks=1e-200 * build_example("ex3.1a").blocks)
         self.assert_bitwise(monkeypatch, a, (-1e-200, 9e-200, -4e-200, 4e-200), 11, 9)
+
+    @pytest.mark.parametrize("decoupled", ["single_block", "block_diagonal", "zero_row"])
+    def test_rows_without_off_diagonal_blocks(self, monkeypatch, decoupled):
+        # Rows whose off-diagonal blocks are all zero have margins 0, or +inf
+        # at a singular node, in every norm; the two-norm solves no block.
+        rng = np.random.default_rng(78)
+        if decoupled == "single_block":
+            a = BlockTridiagonalMatrix(diag=np.array([[[1.0, 2.0], [0.0, 3.0]]], dtype=complex),
+                                       sup=np.zeros((0, 2, 2), complex),
+                                       sub=np.zeros((0, 2, 2), complex))
+        else:
+            blocks = random_general(rng, 3, 2).blocks.copy()
+            blocks[2, :2] = blocks[:2, 2] = 0.0
+            if decoupled == "block_diagonal":
+                blocks[0, 1] = blocks[1, 0] = 0.0
+            a = GeneralBlockMatrix(blocks=blocks)
+        eig = complex(np.linalg.eigvals(block_rows(a)[0][-1])[0])
+        self.assert_bitwise(monkeypatch, a, (eig.real - 1.0, eig.real + 1.0, -1.0, 1.0), 9, 7)
+        for z in (eig, eig + 0.25):
+            for kind in ALL_KINDS:
+                got = margins_at(a, z, kind)
+                for (diag, offs), q in zip(zip(*block_rows(a)), got):
+                    mn, mf = loop_row_margins(diag, offs, np.asarray([z]), kind)
+                    assert q.margin_new == mn[0] and q.margin_fv == mf[0], (kind, z)
+                assert got[-1].margin_new in (0.0, np.inf)
 
 
 def loop_grid_csv(grid):

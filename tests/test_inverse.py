@@ -166,6 +166,22 @@ class TestErrors:
             ikebe_factors(a)
         assert exc.value.step.startswith("U_")
 
+    def test_chain_inverse_caps_entries_at_max_over_m(self):
+        # Z = [[1, -c], [0, 1]] / x with x = 2^-1022: at c = 1 the largest
+        # entry, 2^1022, is below max / 2 and every block norm is finite; at
+        # c = 3 it is past max / 2 and the one-norm of Z overflows.
+        x = 2.0 ** -1022
+        for c, overflows in ((1.0, False), (3.0, True)):
+            a = BlockTridiagonalMatrix(diag=np.array([[[x, c * x], [0.0, x]]]),
+                                       sup=np.zeros((0, 2, 2)), sub=np.zeros((0, 2, 2)))
+            if not overflows:
+                z = invert_block_tridiagonal(a)
+                assert all(np.isfinite(z.norm_grid(kind)).all() for kind in ALL_KINDS)
+                continue
+            with pytest.raises(RecurrenceOverflowError) as exc:
+                invert_block_tridiagonal(a)
+            assert exc.value.step == "Z"
+
     def test_n1_singular(self):
         a = BlockTridiagonalMatrix(
             diag=np.zeros((1, 2, 2)), sup=np.zeros((0, 2, 2)), sub=np.zeros((0, 2, 2)))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from blockdom import (ConvergenceError, NormKind, SingularError, batch_norm,
                       eigenvalues_small, identity_norm, norm, solve_blocks)
 
+from blockdom.kernels import solve_row
+
 from helpers import ALL_KINDS, NP_ORD, np_norm, random_block
 
 
@@ -76,6 +78,33 @@ class TestInvert:
     def test_solve_blocks_scale_invariant(self):
         inv = solve_blocks(1e-200 * np.array([np.eye(3), np.eye(3)]))
         assert np.allclose(inv, 1e200 * np.eye(3), rtol=1e-14, atol=0.0)
+
+
+class TestSolveRow:
+    """solve_row factors each A_k once for the whole block row."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 9, 16, 33, 64])
+    def test_bitwise_per_block_solve_and_inverse(self, m):
+        rng = np.random.default_rng(100 + m)
+        a = np.array([random_block(rng, m) for _ in range(4)])
+        shared = np.array([random_block(rng, m) for _ in range(3)])
+        x = solve_row(a, np.concatenate([shared, np.eye(m)[None]]))
+        assert x.shape == (4, 4, m, m)
+        for j in range(3):
+            assert np.array_equal(x[:, j], np.linalg.solve(a, shared[j]))
+        assert np.array_equal(x[:, 3], np.linalg.inv(a))
+        per_row = rng.standard_normal((4, 2, m, m)) + 1j * rng.standard_normal((4, 2, m, m))
+        y = solve_row(a, per_row)
+        for j in range(2):
+            assert np.array_equal(y[:, j], np.linalg.solve(a, per_row[:, j]))
+
+    def test_no_blocks(self):
+        assert solve_row(np.eye(3)[None], np.zeros((0, 3, 3))).shape == (1, 0, 3, 3)
+
+    def test_exactly_singular_block_raises(self):
+        a = np.array([np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_row(a, np.eye(2)[None])
 
 
 class TestNorm:
